@@ -7,6 +7,11 @@ protocol-level tests and the Figure 3 analysis (which issue dozens of
 certificates) stay fast; it still refuses to "prove" unsatisfied
 statements.  Both serialize to exactly 128 bytes so certificate sizes are
 identical.
+
+``prove`` returns body bytes; ``verify`` and ``verify_batch`` take the
+codec-decoded value.  Extracting an envelope already decodes its body
+(``WirePayload.proof``), so a connection decodes each proof once however
+many timestamp buckets it tries; ``decode`` covers raw bodies.
 """
 
 from ..engine import get_engine
@@ -55,27 +60,19 @@ class Groth16Backend:
         proof = prove(keys.proving_key, system, engine=self.engine)
         return self._codec.encode(proof)
 
-    def verify(self, keys, proof_bytes, public_inputs):
-        try:
-            proof = self._codec.decode(proof_bytes)
-        except WireError as exc:
-            raise ProofError("malformed proof body: %s" % exc) from exc
+    def decode(self, proof_bytes):
+        """The :class:`repro.groth16.Proof` a body encodes (ProofError if
+        malformed)."""
+        return _decode(self._codec, proof_bytes)
+
+    def verify(self, keys, proof, public_inputs):
+        """Check a decoded proof (see :meth:`decode`)."""
         verify(keys.verifying_key, proof, public_inputs, engine=self.engine)
 
-    def verify_batch(self, keys, proof_bytes_list, public_inputs_list):
-        """One multi-pairing check over N proofs (same verdicts as N
-        :meth:`verify` calls; raises BatchVerificationError with the
+    def verify_batch(self, keys, proofs, public_inputs_list):
+        """One multi-pairing check over N decoded proofs (same verdicts as
+        N :meth:`verify` calls; raises BatchVerificationError with the
         offending indices)."""
-        proofs = []
-        malformed = []
-        for i, data in enumerate(proof_bytes_list):
-            try:
-                proofs.append(self._codec.decode(data))
-            except Exception:
-                proofs.append(None)
-                malformed.append(i)
-        if malformed:
-            raise BatchVerificationError(malformed)
         verify_batch(
             keys.verifying_key, proofs, public_inputs_list, engine=self.engine
         )
@@ -98,6 +95,10 @@ class SimulationBackend:
     def prove(self, keys, system):
         return self._codec.encode(sim_prove(keys.proving_key, system))
 
+    def decode(self, proof_bytes):
+        """The attestation digest a body encodes (ProofError if malformed)."""
+        return _decode(self._codec, proof_bytes)
+
     def verify(self, keys, proof_bytes, public_inputs):
         from ..groth16.simulation import SimulatedProof
 
@@ -117,6 +118,13 @@ class SimulationBackend:
                 bad.append(i)
         if bad:
             raise BatchVerificationError(bad)
+
+
+def _decode(codec, proof_bytes):
+    try:
+        return codec.decode(proof_bytes)
+    except WireError as exc:
+        raise ProofError("malformed proof body: %s" % exc) from exc
 
 
 BACKENDS = {"groth16": Groth16Backend, "simulation": SimulationBackend}

@@ -406,12 +406,20 @@ class NopeClient:
             raise ProofError("no verification key for statement %s" % shape_id)
         return entry
 
+    def _payload_proof(self, payload):
+        """The decoded proof: the envelope's, or a legacy raw body decoded
+        by the backend."""
+        if payload.envelope is not None:
+            return payload.proof
+        return self.backend.decode(payload.body)
+
     def _verify_nope_proof(self, domain, leaf, payload, payload_error):
         if payload is None:
             raise ProofError(
                 "malformed NOPE SAN encoding: %s" % payload_error
             ) from payload_error
         statement, keys = self._statement_for_payload(domain, payload)
+        proof = self._payload_proof(payload)
         ca_name = (leaf.issuer.organization or "").encode()
         base_ts = truncate_timestamp(leaf.not_before)
         # the prover truncates TS *before* CA issuance latency, so the
@@ -429,7 +437,7 @@ class NopeClient:
                 base_ts + delta,
             )
             try:
-                self.backend.verify(keys, payload.body, public_inputs)
+                self.backend.verify(keys, proof, public_inputs)
                 return
             except (ProofError, VerificationError) as exc:
                 last_error = exc
@@ -509,7 +517,7 @@ class NopeClient:
         ca_name = (leaf.issuer.organization or "").encode()
         base_ts = truncate_timestamp(leaf.not_before)
         for statement, keys, members in groups.values():
-            bodies = [p.body for _, p in members]
+            proofs = [self._payload_proof(p) for _, p in members]
             last_error = None
             for delta in (0, -TS_GRANULARITY):
                 publics = [
@@ -523,7 +531,7 @@ class NopeClient:
                     for domain, _ in members
                 ]
                 try:
-                    self.backend.verify_batch(keys, bodies, publics)
+                    self.backend.verify_batch(keys, proofs, publics)
                     last_error = None
                     break
                 except (BatchVerificationError, ProofError,

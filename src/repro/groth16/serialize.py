@@ -12,8 +12,9 @@ directly — the ``wire-bypass`` hygiene lint rule enforces that boundary.
 """
 
 from ..ec.curves import BN254_G1
-from ..errors import EncodingError
+from ..errors import EncodingError, FieldError
 from ..field.extension import BN254_P, Fq2
+from ..field.prime_field import PrimeField
 from ..pairing.bn254 import B2, G2Point
 from .keys import Proof
 
@@ -23,6 +24,9 @@ _FLAG_Y_SIGN = 0x80
 _FLAG_INFINITY = 0x40
 
 PROOF_SIZE = 128
+
+_FQ = PrimeField(BN254_P)
+_HALF = pow(2, -1, BN254_P)
 
 
 def g1_to_bytes(pt):
@@ -63,18 +67,15 @@ def _fq2_sqrt(a):
     # complex method: norm = c0^2 + c1^2 must be a QR in Fq
     p = BN254_P
     norm = (a.c0 * a.c0 + a.c1 * a.c1) % p
-    from ..field.prime_field import PrimeField
-
-    fq = PrimeField(p)
     try:
-        n_sqrt = fq.sqrt(norm)
-    except Exception as exc:
+        n_sqrt = _FQ.sqrt(norm)
+    except FieldError as exc:
         raise EncodingError("Fq2 element is not a square") from exc
     for sign in (1, -1):
-        half = (a.c0 + sign * n_sqrt) * pow(2, -1, p) % p
+        half = (a.c0 + sign * n_sqrt) * _HALF % p
         try:
-            x0 = fq.sqrt(half)
-        except Exception:
+            x0 = _FQ.sqrt(half)
+        except FieldError:
             continue
         if x0 == 0:
             continue

@@ -4,13 +4,16 @@ The production NOPE statement hashes DNS records with SHA-256 inside the
 constraints, so we need a reference implementation whose internals (message
 schedule, compression rounds) exactly match the SHA-256 *gadget* in
 :mod:`repro.gadgets.sha256` — including when the gadget is instantiated with
-a reduced round count for the scaled-down profile.  At ``rounds=64`` this
-implementation is bit-identical to ``hashlib.sha256`` (tested).
+a reduced round count for the scaled-down profile.  At ``rounds=64`` the
+pure-Python compression loop is bit-identical to ``hashlib.sha256``
+(tested), so full-round digests are taken from ``hashlib`` directly; only
+the reduced-round variants run the loop here.
 
 Only whole-message hashing is exposed; incremental APIs are unnecessary for
 this codebase.
 """
 
+import hashlib
 import struct
 
 _K = [
@@ -93,9 +96,19 @@ def sha256(data, rounds=64, out_bytes=32):
     for provable-in-pure-Python statement sizes).  ``out_bytes`` truncates
     the digest.
     """
+    if rounds == 64:
+        return hashlib.sha256(data).digest()[:out_bytes]
+    return reference_sha256(data, rounds)[:out_bytes]
+
+
+def reference_sha256(data, rounds=64):
+    """The pure-Python digest: padding, then :func:`compress` per block.
+
+    This is the loop the SHA-256 gadget mirrors; :func:`sha256` runs it for
+    reduced round counts.
+    """
     state = list(_IV)
     padded = pad_message(data)
     for off in range(0, len(padded), 64):
         state = compress(state, padded[off : off + 64], rounds)
-    digest = struct.pack(">8I", *state)
-    return digest[:out_bytes]
+    return struct.pack(">8I", *state)

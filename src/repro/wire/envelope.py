@@ -89,10 +89,10 @@ class ProofEnvelope:
     """A decoded (or freshly sealed) proof envelope."""
 
     __slots__ = ("kind", "version", "flags", "statement", "body", "domain",
-                 "nullifier")
+                 "nullifier", "proof")
 
     def __init__(self, kind, version, flags, statement, body, domain,
-                 nullifier):
+                 nullifier, proof):
         self.kind = kind
         self.version = version
         self.flags = flags
@@ -100,6 +100,9 @@ class ProofEnvelope:
         self.body = body
         self.domain = domain
         self.nullifier = nullifier
+        #: ``body`` as the kind codec decoded it (validating the bytes is
+        #: decoding them, so the value is kept rather than decoded again)
+        self.proof = proof
 
     @property
     def managed(self):
@@ -129,7 +132,7 @@ def seal(kind, version, body, domain, shape_id=None, statement=None,
 
     codec = get_codec(kind)
     codec.check_version(version)
-    codec.validate(body)
+    proof = codec.decode(body)
     if statement is None:
         if shape_id is None:
             raise WireError("seal() needs a shape_id or a statement digest")
@@ -140,7 +143,7 @@ def seal(kind, version, body, domain, shape_id=None, statement=None,
     flags = FLAG_MANAGED if managed else 0
     nullifier = compute_nullifier(kind, version, flags, statement, domain, body)
     return ProofEnvelope(kind, version, flags, statement, bytes(body), domain,
-                         nullifier)
+                         nullifier, proof)
 
 
 def encode_envelope(env):
@@ -192,7 +195,7 @@ def decode_envelope(data, domain):
             )
         body = data[HEADER_SIZE:HEADER_SIZE + body_len]
         nullifier = data[HEADER_SIZE + body_len:]
-        codec.validate(body)
+        proof = codec.decode(body)
         domain = domain.rstrip(".").lower()
         computed = compute_nullifier(kind, version, flags, statement, domain, body)
         if not hmac.compare_digest(nullifier, computed):
@@ -203,4 +206,4 @@ def decode_envelope(data, domain):
             )
         _DECODED.inc()
         return ProofEnvelope(kind, version, flags, statement, body, domain,
-                             nullifier)
+                             nullifier, proof)

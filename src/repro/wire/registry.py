@@ -55,6 +55,8 @@ class BodyCodec:
         raise NotImplementedError
 
     def decode(self, body):
+        """The proof value ``body`` encodes; raises WireError unless the
+        bytes are canonical for this kind."""
         raise NotImplementedError
 
 
@@ -76,19 +78,16 @@ class Groth16Codec(BodyCodec):
         from ..errors import EncodingError
         from ..groth16.serialize import proof_from_bytes
 
+        self.validate(body)
+        # full canonical-form check: every point must decode (flags, range,
+        # on-curve, subgroup); compressed decoding re-encodes bijectively,
+        # so decode success == byte-canonical
         try:
             return proof_from_bytes(body)
         except WireError:
             raise
         except EncodingError as exc:
             raise WireError("non-canonical groth16 body: %s" % exc) from exc
-
-    def validate(self, body):
-        super().validate(body)
-        # full canonical-form check: every point must decode (flags, range,
-        # on-curve, subgroup); compressed decoding re-encodes bijectively,
-        # so decode success == byte-canonical
-        self.decode(body)
 
 
 class SimulationCodec(BodyCodec):

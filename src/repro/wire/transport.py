@@ -45,6 +45,12 @@ class WirePayload:
     def nullifier(self):
         return self.envelope.nullifier if self.envelope is not None else None
 
+    @property
+    def proof(self):
+        """The codec-decoded body, or None for legacy payloads (whose kind
+        only the verifying backend knows)."""
+        return self.envelope.proof if self.envelope is not None else None
+
 
 def envelope_to_sans(env, domain=None):
     """Encode an envelope into its SAN hostname set."""

@@ -55,9 +55,9 @@ class CountingBackend:
         self.inner = inner
         self.verify_calls = 0
 
-    def verify(self, keys, proof_bytes, public_inputs):
+    def verify(self, keys, proof, public_inputs):
         self.verify_calls += 1
-        return self.inner.verify(keys, proof_bytes, public_inputs)
+        return self.inner.verify(keys, proof, public_inputs)
 
 
 def make_client(world, cache=None):

@@ -387,7 +387,9 @@ class TestProverSynthesisSplit:
             input_digest(prover.profile, b"Some CA"),
             ts,
         )
-        prover.backend.verify(prover.keys, proof, expected)
+        prover.backend.verify(
+            prover.keys, prover.backend.decode(proof), expected
+        )
 
     def test_bind_witness_rejects_managed_shapes(self, world):
         from repro.core.statement import NopeStatement, StatementShape

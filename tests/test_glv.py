@@ -65,11 +65,24 @@ class TestDecompose:
                 assert rem.bit_length() <= bound
 
     def test_small_order(self):
-        # toy 29-point group: exhaustive over every nonzero scalar
-        n = TOY29.order
+        # exhaustive over every nonzero scalar of a 16-bit prime modulus
+        n = 65521
+        bound = half_width_bound(n)
         for h1 in range(1, n):
             v, rem, sign = decompose(h1, n)
+            assert v > 0 and rem >= 0 and sign in (1, -1)
             assert v * h1 % n == (sign * rem) % n
+            assert v.bit_length() <= bound
+            assert rem.bit_length() <= bound
+        # and a seeded sample of the 27-bit TOY29 group order
+        n = TOY29.order
+        bound = half_width_bound(n)
+        rng = random.Random(29)
+        for h1 in [1, n - 1] + [rng.randrange(1, n) for _ in range(2000)]:
+            v, rem, sign = decompose(h1, n)
+            assert v * h1 % n == (sign * rem) % n
+            assert v.bit_length() <= bound
+            assert rem.bit_length() <= bound
 
 
 class TestGlvSplit:

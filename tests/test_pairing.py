@@ -1,11 +1,15 @@
 """Tests for BN254 G2 and the optimal ate pairing."""
 
+import random
+
 import pytest
 
 from repro.ec import BN254_G1
-from repro.errors import CurveError
-from repro.field.extension import Fq2, Fq12
+from repro.errors import CurveError, EncodingError
+from repro.field.extension import BN254_P, Fq2, Fq6, Fq12
+from repro.groth16.serialize import _fq2_sqrt
 from repro.pairing import (
+    B2,
     BN254_R,
     G2Point,
     G2Prepared,
@@ -18,6 +22,7 @@ from repro.pairing import (
     pairing_check,
     prepare_g2,
 )
+from repro.pairing.bn254 import _jac_add, _jac_add_affine, _jac_double, _jac_equal
 
 G1 = BN254_G1.generator
 G2 = G2_GENERATOR
@@ -51,6 +56,112 @@ class TestG2:
 
     def test_infinity_in_subgroup(self):
         assert G2Point.infinity().in_subgroup()
+
+
+#: #E'(Fq2) = r * h2; h2 = 2p - r has the small prime factors 10069 and
+#: 5864401, so the twist carries low-order points outside G2
+_TWIST_COFACTOR = 2 * BN254_P - BN254_R
+
+
+def _twist_points(rng, count):
+    """Seeded points on the twist with no cofactor clearing."""
+    out = []
+    while len(out) < count:
+        x = Fq2(rng.randrange(BN254_P), rng.randrange(BN254_P))
+        try:
+            y = _fq2_sqrt(x.square() * x + B2)
+        except EncodingError:
+            continue
+        out.append(G2Point.make(x, y))
+    return out
+
+
+def _order_r_test(q):
+    return (BN254_R * q).is_infinity
+
+
+class TestG2Membership:
+    """The psi-based in_subgroup must agree with the [r]Q ladder."""
+
+    def test_points_outside_g2(self):
+        for q in _twist_points(random.Random(14), 12):
+            assert q.in_subgroup() == _order_r_test(q)
+            assert not q.in_subgroup()
+
+    def test_low_order_and_mixed_points(self):
+        rng = random.Random(15)
+        base = _twist_points(rng, 2)
+        for ell, q in zip((10069, 5864401), base):
+            torsion = (_TWIST_COFACTOR * BN254_R // ell) * q
+            assert not torsion.is_infinity
+            assert (ell * torsion).is_infinity
+            mixed = torsion + rng.randrange(1, BN254_R) * G2
+            for pt in (torsion, -torsion, mixed, -mixed):
+                assert pt.in_subgroup() == _order_r_test(pt)
+                assert not pt.in_subgroup()
+
+    def test_g2_points(self):
+        rng = random.Random(16)
+        points = [G2, -G2, 2 * G2, G2Point.infinity()]
+        for _ in range(4):
+            q = rng.randrange(1, BN254_R) * G2
+            points.extend((q, -q))
+        for q in points:
+            assert q.in_subgroup() == _order_r_test(q)
+            assert q.in_subgroup()
+
+    def test_jacobian_kernel_edge_cases(self):
+        def jac(pt, z=Fq2(1, 0)):
+            if pt.is_infinity:
+                return (1, 0, 1, 0, 0, 0)
+            x, y = pt.x * z.square(), pt.y * z.square() * z
+            return (x.c0, x.c1, y.c0, y.c1, z.c0, z.c1)
+
+        q = 7 * G2
+        aff = (q.x.c0, q.x.c1, q.y.c0, q.y.c1)
+        z = Fq2(5, 3)
+        inf = jac(G2Point.infinity())
+        # P + P doubles, P + (-P) cancels, on both addition formulas
+        assert _jac_equal(_jac_add_affine(jac(q, z), aff), jac(2 * q))
+        assert _jac_equal(_jac_add_affine(jac(-q, z), aff), inf)
+        assert _jac_equal(_jac_add(jac(q, z), jac(q)), jac(2 * q))
+        assert _jac_equal(_jac_add(jac(q, z), jac(-q)), inf)
+        assert _jac_equal(_jac_add_affine(inf, aff), jac(q))
+        assert _jac_equal(_jac_add(inf, jac(q, z)), jac(q))
+        assert _jac_equal(_jac_add(jac(q, z), inf), jac(q))
+        assert _jac_equal(_jac_double(inf), inf)
+        assert _jac_equal(_jac_double(jac(q, z)), jac(2 * q))
+        assert _jac_equal(_jac_add(jac(q, z), jac(2 * q)), jac(3 * q))
+        assert not _jac_equal(jac(q, z), jac(-q))
+        assert not _jac_equal(jac(q), inf)
+
+
+def _plain_final_exponentiation(f):
+    """The easy part, then a plain pow by the hard exponent."""
+    easy = f.conjugate() * f.inverse()
+    easy = easy.frobenius_n(2) * easy
+    return easy.pow((BN254_P ** 4 - BN254_P ** 2 + 1) // BN254_R)
+
+
+class TestFinalExponentiation:
+    def test_matches_plain_hard_exponent(self):
+        rng = random.Random(17)
+        for _ in range(3):
+            p = rng.randrange(1, BN254_R) * G1
+            q = rng.randrange(1, BN254_R) * G2
+            f = miller_loop(q, p)
+            assert final_exponentiation(f) == _plain_final_exponentiation(f)
+
+    def test_arbitrary_fq12_inputs(self):
+        # the chain is exact for any nonzero element, not only Miller outputs
+        rng = random.Random(18)
+
+        def fq6():
+            return Fq6(*(Fq2(rng.randrange(BN254_P), rng.randrange(BN254_P))
+                         for _ in range(3)))
+
+        for f in (Fq12.one(), Fq12(fq6(), fq6()), Fq12(fq6(), Fq6.zero())):
+            assert final_exponentiation(f) == _plain_final_exponentiation(f)
 
 
 class TestPairing:

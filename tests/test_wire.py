@@ -34,7 +34,7 @@ from repro.groth16.serialize import (
     proof_from_bytes,
     proof_to_bytes,
 )
-from repro.pairing.bn254 import G2_GENERATOR
+from repro.pairing.bn254 import G2_GENERATOR, G2Point
 from repro.profiles import TOY, build_hierarchy
 from repro.sig import EcdsaPrivateKey
 from repro.wire import (
@@ -184,6 +184,29 @@ class TestEnvelope:
                    shape_id="toy/test")
         back = decode_envelope(encode_envelope(env), "example.com")
         assert back.body == body
+
+    def test_decoded_proof_rides_the_envelope(self, monkeypatch):
+        proof = Proof(_g1(7), _g2(8), _g1(9))
+        env = seal(KIND_GROTH16, VERSION_TOY, proof_to_bytes(proof),
+                   "example.com", shape_id="toy/test")
+        assert env.proof == proof
+        sans = envelope_to_sans(env)
+        checks = []
+        in_subgroup = G2Point.in_subgroup
+        monkeypatch.setattr(
+            G2Point, "in_subgroup",
+            lambda pt: checks.append(pt) or in_subgroup(pt),
+        )
+        payload = extract_proof(sans, "example.com")
+        # decoding the body is its validation: one membership test, and
+        # the decoded value is what the backend verifies
+        assert len(checks) == 1
+        assert payload.proof == proof
+        legacy = extract_proof(
+            encode_proof_sans(proof_to_bytes(proof), "example.com"),
+            "example.com",
+        )
+        assert legacy.proof is None
 
     def test_seal_refuses_noncanonical_groth16(self):
         with pytest.raises(WireError):
@@ -448,13 +471,13 @@ class BatchCountingBackend:
         self.verify_calls = 0
         self.batch_calls = 0
 
-    def verify(self, keys, proof_bytes, public_inputs):
+    def verify(self, keys, proof, public_inputs):
         self.verify_calls += 1
-        return self.inner.verify(keys, proof_bytes, public_inputs)
+        return self.inner.verify(keys, proof, public_inputs)
 
-    def verify_batch(self, keys, bodies, publics):
+    def verify_batch(self, keys, proofs, publics):
         self.batch_calls += 1
-        return self.inner.verify_batch(keys, bodies, publics)
+        return self.inner.verify_batch(keys, proofs, publics)
 
 
 def make_client(world, cache=None):
