@@ -14,13 +14,6 @@ Run::
 ``--gate`` enforces the raw-speed floor: the optimized kernel must be at
 least ``GATE_SPEEDUP``x faster than the reference at every measured size.
 The before/after pair is persisted to ``BENCH_msm_kernel.json``.
-
-``--backend {auto,mont,canonical}`` forces the group's coordinate
-representation for the timed ``msm_generic`` runs (auto defers to the
-calibrated field backend).  Whatever backend is timed, every size also
-asserts that a Montgomery-representation group reproduces the canonical
-kernel's affine result exactly, so the parity check runs on every CI
-pass regardless of which representation calibration picked.
 """
 
 import random
@@ -62,26 +55,20 @@ def _time(fn, rounds):
     return best
 
 
-def run(sizes, rounds=3, backend="auto"):
+def run(sizes, rounds=3):
     """Measure each workload; returns a list of per-size result dicts.
 
     Raises AssertionError if the kernels ever disagree on the affine
     result — a benchmark of a wrong kernel is worse than no benchmark.
-    The Montgomery-representation group is parity-checked at every size
-    even when it is not the representation being timed.
     """
     curve = BN254_G1
-    rep = {"auto": "auto", "mont": "mont", "canonical": "canonical"}[backend]
-    group = JacobianGroup(curve, rep=rep)
-    mont_group = JacobianGroup(curve, rep="mont")
+    group = JacobianGroup(curve)
     out = []
     for seed, n in sizes:
         bases, scalars = _workload(curve, seed, n)
         ref = jac_to_affine(curve, msm_reference(group, bases, scalars))
         opt = jac_to_affine(curve, msm_generic(group, bases, scalars))
         assert ref == opt, "kernel parity violated at n=%d" % n
-        mont = jac_to_affine(curve, msm_generic(mont_group, bases, scalars))
-        assert ref == mont, "montgomery parity violated at n=%d" % n
         before = _time(lambda: msm_reference(group, bases, scalars), rounds)
         after = _time(lambda: msm_generic(group, bases, scalars), rounds)
         out.append({
@@ -99,7 +86,7 @@ def replay(config):
 
     The workloads are fully seed-driven (``size_pairs``), so under the
     replay harness's fake clock the metric counts — ``msm.calls``,
-    ``msm.bucket_adds``, ``field.mont_muls`` — reproduce bit-identically.
+    ``msm.bucket_adds`` — reproduce bit-identically.
     Certificates from before ``size_pairs`` existed fall back to mapping
     the recorded sizes onto the canonical seed table.
     """
@@ -111,7 +98,6 @@ def replay(config):
         "per_size": run(
             [tuple(pair) for pair in pairs],
             rounds=config.get("rounds", 3),
-            backend=config.get("backend", "auto"),
         ),
     }
 
@@ -132,24 +118,19 @@ def main(argv=None):
     )
     parser.add_argument("--no-record", action="store_true",
                         help="skip writing BENCH_msm_kernel.json")
-    parser.add_argument(
-        "--backend", choices=("auto", "mont", "canonical"), default="auto",
-        help="coordinate representation for the timed optimized kernel "
-             "(auto = whatever field calibration picked)",
-    )
     args = parser.parse_args(argv)
 
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
-    results = run(sizes, rounds=args.rounds, backend=args.backend)
+    results = run(sizes, rounds=args.rounds)
     print("BN254 G1 Pippenger kernel, reference (unsigned) vs optimized "
-          "(signed + batch-affine + GLV, backend=%s):" % args.backend)
+          "(signed + batch-affine + GLV):")
     for row in results:
         print("  n=%4d   before %7.1f ms   after %7.1f ms   %.2fx"
               % (row["n"], row["before_s"] * 1e3, row["after_s"] * 1e3,
                  row["speedup"]))
     if not args.no_record:
         config = {"curve": "bn254-g1", "smoke": args.smoke,
-                  "rounds": args.rounds, "backend": args.backend,
+                  "rounds": args.rounds,
                   "sizes": [n for _, n in sizes],
                   "size_pairs": [list(pair) for pair in sizes]}
         record = {"per_size": results,

@@ -58,8 +58,6 @@ R = BN254_R
 
 #: --no-regress floor: this run's batched-vs-prepared speedup may not fall
 #: below this fraction of the checked-in BENCH_verify_throughput.json record
-#: (the field-backend never-regress rule: a representation change that does
-#: not win must at least not lose)
 NO_REGRESS_FLOOR = 0.98
 
 

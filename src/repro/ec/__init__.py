@@ -3,7 +3,7 @@
 from .curve import Curve, Point
 from .curves import BN254_G1, BN254_Q, BN254_R, CURVES, P256, SECP256K1, TOY29, TOY61, curve_by_name
 from .glv import decompose, half_width_bound
-from .msm import FixedBaseTable, msm, msm_jacobian, straus
+from .msm import straus
 
 __all__ = [
     "Curve",
@@ -17,8 +17,6 @@ __all__ = [
     "BN254_R",
     "CURVES",
     "curve_by_name",
-    "msm",
-    "msm_jacobian",
     "straus",
     "decompose",
     "half_width_bound",

@@ -3,7 +3,7 @@
 A :class:`Curve` is ``y^2 = x^3 + a*x + b`` over a :class:`PrimeField`.
 Points are exposed through the ergonomic :class:`Point` wrapper (supporting
 ``P + Q``, ``k * P``); performance-critical paths (scalar multiplication,
-MSM in :mod:`repro.ec.msm`) use Jacobian-coordinate tuples of plain ints via
+MSM in :mod:`repro.engine`) use Jacobian-coordinate tuples of plain ints via
 the module-level ``jac_*`` functions.
 
 Infinity is represented as ``Point(curve, None, None)`` in affine form and
@@ -11,8 +11,6 @@ Infinity is represented as ``Point(curve, None, None)`` in affine form and
 """
 
 from ..errors import CurveError
-from ..field.montgomery import MONT_MULS as _MONT_MULS
-from ..field.montgomery import REDC_CALLS as _REDC_CALLS
 from ..field.prime_field import PrimeField
 
 
@@ -161,231 +159,6 @@ def jac_mul(curve, pt, k, window=4):
             x, y, z = multiples[-d - 1]
             result = jac_add(curve, result, (x, (-y) % p, z))
     return result
-
-
-# -- Montgomery-domain Jacobian kernels --------------------------------------
-#
-# Mirrors of the canonical formulas above with every field product reduced
-# by an inlined REDC (multiply-mask-shift, no division) instead of `% p`.
-# Coordinates live in Montgomery form (x -> x*R mod p); conversion happens
-# once at MSM kernel entry/exit (`JacobianGroup.enter_kernel`/`exit_kernel`),
-# never inside these functions.  Every intermediate is normalized to
-# [0, p), so equality checks (U1 == U2, ...) and the formula control flow
-# are step-for-step identical to the canonical kernels — converting the
-# result back yields the exact same integer tuple, which is what the
-# byte-identical parity suite asserts.
-#
-# REDC validity: operands stay < 2p before any product, so |T| < 4p^2 <
-# R*p with the SLACK_BITS headroom in R; differences fed to REDC stay
-# above -R*p, which the signed normalization handles.
-
-
-def jac_double_mont(ctx, a_m, pt):  # domain: kernel(mont)
-    """`jac_double` on Montgomery-form coordinates (`a_m` = to_mont(a))."""
-    p = ctx.p
-    n0 = ctx.n_prime
-    mk = ctx.mask
-    kk = ctx.k
-    X1, Y1, Z1 = pt
-    if Z1 == 0 or Y1 == 0:
-        return JAC_INFINITY
-    t = X1 * X1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    XX = u - p if u >= p else u
-    t = Y1 * Y1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    YY = u - p if u >= p else u
-    t = YY * YY
-    u = (t + ((t * n0) & mk) * p) >> kk
-    YYYY = u - p if u >= p else u
-    t = Z1 * Z1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    ZZ = u - p if u >= p else u
-    t = (X1 + YY) * (X1 + YY)
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    S = 2 * (u - XX - YYYY) % p
-    t = a_m * ZZ
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    t = u * ZZ
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    M = (3 * XX + u) % p
-    t = M * M
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    T = (u - 2 * S) % p
-    t = M * (S - T)
-    u = (t + ((t * n0) & mk) * p) >> kk
-    if u < 0:
-        u += p
-    elif u >= p:
-        u -= p
-    Y3 = (u - 8 * YYYY) % p
-    t = (Y1 + Z1) * (Y1 + Z1)
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    Z3 = (u - YY - ZZ) % p
-    _MONT_MULS.inc(10)
-    _REDC_CALLS.inc(10)
-    return (T, Y3, Z3)
-
-
-def jac_add_mont(ctx, a_m, pt1, pt2):  # domain: kernel(mont)
-    """`jac_add` on Montgomery-form coordinates."""
-    p = ctx.p
-    n0 = ctx.n_prime
-    mk = ctx.mask
-    kk = ctx.k
-    X1, Y1, Z1 = pt1
-    X2, Y2, Z2 = pt2
-    if Z1 == 0:
-        return pt2
-    if Z2 == 0:
-        return pt1
-    t = Z1 * Z1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    Z1Z1 = u - p if u >= p else u
-    t = Z2 * Z2
-    u = (t + ((t * n0) & mk) * p) >> kk
-    Z2Z2 = u - p if u >= p else u
-    t = X1 * Z2Z2
-    u = (t + ((t * n0) & mk) * p) >> kk
-    U1 = u - p if u >= p else u
-    t = X2 * Z1Z1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    U2 = u - p if u >= p else u
-    t = Y1 * Z2
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    t = u * Z2Z2
-    u = (t + ((t * n0) & mk) * p) >> kk
-    S1 = u - p if u >= p else u
-    t = Y2 * Z1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    t = u * Z1Z1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    S2 = u - p if u >= p else u
-    if U1 == U2:
-        if S1 != S2:
-            return JAC_INFINITY
-        return jac_double_mont(ctx, a_m, pt1)
-    H = (U2 - U1) % p
-    t = H * H
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    I = 4 * u % p
-    t = H * I
-    u = (t + ((t * n0) & mk) * p) >> kk
-    J = u - p if u >= p else u
-    r = 2 * (S2 - S1) % p
-    t = U1 * I
-    u = (t + ((t * n0) & mk) * p) >> kk
-    V = u - p if u >= p else u
-    t = r * r
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    X3 = (u - J - 2 * V) % p
-    t = r * (V - X3)
-    u = (t + ((t * n0) & mk) * p) >> kk
-    if u < 0:
-        u += p
-    elif u >= p:
-        u -= p
-    t = S1 * J
-    w = (t + ((t * n0) & mk) * p) >> kk
-    w = w - p if w >= p else w
-    Y3 = (u - 2 * w) % p
-    t = (Z1 + Z2) * (Z1 + Z2)
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    t = (u - Z1Z1 - Z2Z2) % p * H
-    u = (t + ((t * n0) & mk) * p) >> kk
-    Z3 = u - p if u >= p else u
-    _MONT_MULS.inc(16)
-    _REDC_CALLS.inc(16)
-    return (X3, Y3, Z3)
-
-
-def jac_add_affine_mont(ctx, a_m, pt1, pt2):  # domain: kernel(mont)
-    """`jac_add_affine` on Montgomery-form coordinates.
-
-    ``pt2`` is an affine Montgomery-form pair; an infinity accumulator
-    lifts it with ``Z = R mod p`` (the Montgomery form of 1).
-    """
-    p = ctx.p
-    n0 = ctx.n_prime
-    mk = ctx.mask
-    kk = ctx.k
-    X1, Y1, Z1 = pt1
-    if Z1 == 0:
-        return (pt2[0], pt2[1], ctx.r1)
-    x2, y2 = pt2
-    t = Z1 * Z1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    Z1Z1 = u - p if u >= p else u
-    t = x2 * Z1Z1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    U2 = u - p if u >= p else u
-    t = y2 * Z1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    t = u * Z1Z1
-    u = (t + ((t * n0) & mk) * p) >> kk
-    S2 = u - p if u >= p else u
-    if X1 == U2:
-        if Y1 != S2:
-            return JAC_INFINITY
-        return jac_double_mont(ctx, a_m, pt1)
-    H = (U2 - X1) % p
-    t = H * H
-    u = (t + ((t * n0) & mk) * p) >> kk
-    HH = u - p if u >= p else u
-    I = 4 * HH % p
-    t = H * I
-    u = (t + ((t * n0) & mk) * p) >> kk
-    J = u - p if u >= p else u
-    r = 2 * (S2 - Y1) % p
-    t = X1 * I
-    u = (t + ((t * n0) & mk) * p) >> kk
-    V = u - p if u >= p else u
-    t = r * r
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    X3 = (u - J - 2 * V) % p
-    t = r * (V - X3)
-    u = (t + ((t * n0) & mk) * p) >> kk
-    if u < 0:
-        u += p
-    elif u >= p:
-        u -= p
-    t = Y1 * J
-    w = (t + ((t * n0) & mk) * p) >> kk
-    w = w - p if w >= p else w
-    Y3 = (u - 2 * w) % p
-    t = (Z1 + H) * (Z1 + H)
-    u = (t + ((t * n0) & mk) * p) >> kk
-    u = u - p if u >= p else u
-    Z3 = (u - Z1Z1 - HH) % p
-    _MONT_MULS.inc(11)
-    _REDC_CALLS.inc(11)
-    return (X3, Y3, Z3)
-
-
-def jac_to_mont(ctx, pt):
-    """Canonical Jacobian tuple -> Montgomery form (infinity unchanged)."""
-    if pt[2] == 0:
-        return JAC_INFINITY
-    return (ctx.to_mont(pt[0]), ctx.to_mont(pt[1]), ctx.to_mont(pt[2]))
-
-
-def jac_from_mont(ctx, pt):
-    """Montgomery-form Jacobian tuple -> canonical (infinity unchanged)."""
-    if pt[2] == 0:
-        return JAC_INFINITY
-    return (ctx.from_mont(pt[0]), ctx.from_mont(pt[1]), ctx.from_mont(pt[2]))
 
 
 class Curve:

@@ -1,46 +1,10 @@
-"""Multi-scalar multiplication (MSM) — thin wrappers over ``repro.engine``.
+"""Straus/Shamir joint scalar multiplication for tiny fixed-width MSMs.
 
-The Groth16 prover's cost is dominated by MSMs of size ~m (the number of
-constraints); the actual Pippenger bucket kernel is group-generic and lives
-in :mod:`repro.engine.msm` (one implementation for G1 and G2, with an
-optional parallel path).  This module keeps the historical entry points —
-``msm``/``msm_jacobian`` for affine Points and Jacobian tuples, ``straus``
-for the tiny fixed-width MSMs in signature verification, and the
-``FixedBaseTable`` re-export — so callers below the engine layer keep
-working.  Engine imports are lazy to avoid an ec <-> engine import cycle.
+The Groth16 prover's large MSMs run through the group-generic Pippenger
+kernel in :mod:`repro.engine.msm` (``DEFAULT_ENGINE.msm_points``); this
+module keeps only ``straus``, which signature verification and the ECDSA
+gadget use for their 2-4 point sums.
 """
-
-
-def msm(points, scalars):
-    """Compute sum(k_i * P_i) for affine Points; returns a Point.
-
-    Pairs with zero scalars or infinity points are skipped.  All points must
-    share a curve.
-    """
-    from ..engine import DEFAULT_ENGINE
-
-    return DEFAULT_ENGINE.msm_points(points, scalars)
-
-
-def msm_jacobian(curve, affine_points, scalars):
-    """Pippenger MSM over affine coordinate tuples; returns a Jacobian tuple."""
-    from ..engine import DEFAULT_ENGINE
-
-    return DEFAULT_ENGINE.msm_jacobian(curve, affine_points, scalars)
-
-
-def _fixed_base_table():
-    from ..engine.tables import FixedBaseTable as _FBT
-
-    return _FBT
-
-
-def __getattr__(name):
-    # FixedBaseTable moved to repro.engine.tables; resolve lazily so that
-    # importing repro.ec does not trigger the engine package.
-    if name == "FixedBaseTable":
-        return _fixed_base_table()
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def straus(points, scalars, window=2):
@@ -57,7 +21,7 @@ def straus(points, scalars, window=2):
     scalars = [k % curve.order for k in scalars]
     npts = len(points)
     if npts * window > 12:
-        raise ValueError("straus table too large; use msm() instead")
+        raise ValueError("straus table too large; use the engine MSM instead")
     # table[i] = sum of digit_j(i) * P_j for the joint index i
     table_size = 1 << (window * npts)
     table = [curve.infinity] * table_size

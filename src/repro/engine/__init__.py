@@ -9,8 +9,7 @@ them together and owns the optional worker pool
 (:mod:`repro.engine.core`).
 
 Layering: ``engine`` sits above ``field``/``ec``/``pairing`` primitives and
-below ``groth16``/``core``.  ``repro.ec.msm`` keeps thin wrappers that
-delegate here (lazily, to avoid import cycles).
+below ``groth16``/``core``.
 """
 
 from .config import EngineConfig

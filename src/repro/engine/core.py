@@ -58,17 +58,10 @@ _R1CS_CONSTRAINTS = _metrics.gauge("r1cs.constraints")
 
 
 def _jacobian_group(curve):
-    # keyed by (curve, calibrated representation) so a forced/repinned
-    # field backend (repro.field.montgomery.force_backend) transparently
-    # rebuilds the group in the right kernel domain
-    from ..field.montgomery import backend_for
-
-    kind = backend_for(curve.field.p).mul_kind
-    key = (curve, kind)
-    group = _jacobian_groups.get(key)
+    group = _jacobian_groups.get(curve)
     if group is None:
         group = JacobianGroup(curve)
-        _jacobian_groups[key] = group
+        _jacobian_groups[curve] = group
     return group
 
 

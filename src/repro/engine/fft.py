@@ -11,9 +11,6 @@ tables amortize to zero.
 
 from ..ec.curves import BN254_R
 from ..errors import ProvingError
-from ..field.montgomery import MONT_MULS as _MONT_MULS
-from ..field.montgomery import REDC_CALLS as _REDC_CALLS
-from ..field.montgomery import backend_for as _backend_for
 from ..telemetry import metrics as _metrics
 
 R = BN254_R
@@ -83,81 +80,8 @@ def _shift_table(n, shift):
     return table
 
 
-_mont_twiddles = {}
-
-
-def _mont_twiddle_table(n, omega, ctx):
-    """The (n, omega) twiddle table in Montgomery form, memoized."""
-    key = (n, omega)
-    table = _mont_twiddles.get(key)
-    if table is None:
-        table = [ctx.to_mont(w) for w in _twiddle_table(n, omega)]
-        _mont_twiddles[key] = table
-    return table
-
-
-def _fft_mont(values, omega, ctx):  # domain: kernel(mont)
-    """The butterfly network with REDC products on Montgomery-form values.
-
-    Values convert in at entry and out at exit (2n REDCs); each butterfly
-    pays one REDC instead of one ``%``.  Addition is representation-blind,
-    so the output ints equal the canonical path's exactly.
-    """
-    n = len(values)
-    p = ctx.p
-    n0 = ctx.n_prime
-    mk = ctx.mask
-    kk = ctx.k
-    r2 = ctx.r2
-    a = []
-    for x in values:
-        t = (x % p) * r2
-        u = (t + ((t * n0) & mk) * p) >> kk
-        a.append(u - p if u >= p else u)
-    tw = _mont_twiddle_table(n, omega, ctx)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
-    muls = 0
-    length = 2
-    while length <= n:
-        half = length // 2
-        stride = n // length
-        for start in range(0, n, length):
-            for k in range(half):
-                i = start + k
-                u = a[i]
-                t = a[i + half] * tw[k * stride]
-                v = (t + ((t * n0) & mk) * p) >> kk
-                if v >= p:
-                    v -= p
-                a[i] = (u + v) % p
-                a[i + half] = (u - v) % p
-        muls += n // 2
-        length <<= 1
-    out = []
-    for x in a:
-        u = (x + ((x * n0) & mk) * p) >> kk
-        out.append(u - p if u >= p else u)
-    _MONT_MULS.inc(muls + n)
-    _REDC_CALLS.inc(muls + 2 * n)
-    return out  # domain: canonical(n)
-
-
 def cached_fft(values, omega):
-    """Iterative NTT using the memoized twiddle table for (n, omega).
-
-    Dispatches to the Montgomery butterfly network when the scalar-field
-    backend calibrated REDC faster than native ``%`` (resolved per call,
-    so a forced backend takes effect immediately); both paths return
-    identical canonical values.
-    """
+    """Iterative NTT using the memoized twiddle table for (n, omega)."""
     n = len(values)
     if n & (n - 1):
         raise ProvingError("fft length must be a power of two")
@@ -165,8 +89,6 @@ def cached_fft(values, omega):
     a = list(values)
     if n == 1:
         return a
-    if _backend_for(R).mul_kind == "montgomery":
-        return _fft_mont(values, omega, _backend_for(R).mont)
     tw = _twiddle_table(n, omega)
     # bit-reversal permutation
     j = 0

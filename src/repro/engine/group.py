@@ -14,22 +14,13 @@ Two adapters cover every group in the repro:
   ``G2Point``, affine ``Point``): elements and bases coincide, addition is
   ``+``, identity is whatever the caller supplies.
 
-Both are picklable (they hold only curve constants; memoized endomorphism
-data is rebuilt lazily after unpickling), so they can cross a process-pool
-boundary for the parallel MSM path.
-
-**Kernel representation.** A :class:`JacobianGroup` additionally carries a
-coordinate representation for the MSM's inner loops, chosen per curve by
-the field-backend calibration (``repro.field.montgomery.backend_for``):
-``canonical`` ints, or Montgomery form when REDC beats native ``%`` on
-the host.  The MSM converts bases once at kernel entry
-(:meth:`Group.enter_kernel`) and the accumulated element once at exit
-(:meth:`Group.exit_kernel`) — never inside a loop — and all arithmetic in
-between is exact in either form, so results are bit-identical across
-representations.  The resolved representation (not the ``"auto"``
-request) travels through pickling, keeping pool workers in the parent's
-domain regardless of how they would calibrate themselves.
+Both are picklable (they hold only curve constants and memoized
+endomorphism data), so they can cross a process-pool boundary for the
+parallel MSM path.
 """
+
+from ..ec import curve as _c
+from ..ec.glv import curve_endomorphism, glv_basis, split_scalar
 
 
 class Group:
@@ -73,28 +64,6 @@ class Group:
         """
         return None
 
-    def canonical(self):
-        """A group equivalent to this one whose kernels take canonical
-        bases directly (itself for groups without a kernel representation).
-
-        ``msm_reference`` routes through this so the retained pre-refactor
-        kernel stays byte-for-byte canonical whatever the calibration
-        picked."""
-        return self
-
-    def enter_kernel(self, bases):
-        """Canonical bases -> kernel representation (identity by default).
-
-        Called once per MSM, after GLV splitting and before any window
-        work — the single domain boundary on the way in."""
-        return bases
-
-    def exit_kernel(self, el):
-        """Kernel-representation element -> canonical (identity by default).
-
-        The single domain boundary on the way out."""
-        return el
-
     def reduce_buckets(self, bucket_lists):
         """Collapse each bucket's list of bases to one base (or None).
 
@@ -114,32 +83,10 @@ class Group:
 
 
 class JacobianGroup(Group):
-    """Adapter for ``repro.ec.curve`` Jacobian arithmetic on one curve.
+    """Adapter for ``repro.ec.curve`` Jacobian arithmetic on one curve."""
 
-    ``rep`` selects the kernel coordinate representation: ``"canonical"``,
-    ``"mont"``, or ``"auto"`` (resolve via the per-modulus field-backend
-    calibration; the never-regress rule keeps canonical unless REDC
-    measured faster than native ``%``).  In Montgomery representation the
-    hot methods (``add``/``double``/``add_mixed``/``reduce_buckets``) are
-    shadowed with REDC kernels at construction, so the canonical path pays
-    no dispatch overhead at all.  ``scalar_mul`` and ``glv_split`` always
-    take canonical inputs — they run outside the kernel boundary.
-    """
-
-    def __init__(self, curve, rep="auto"):
-        # lazy import: repro.ec.msm delegates into the engine, so this
-        # module must not import repro.ec at module scope
-        from ..ec import curve as _c
-
-        if rep == "auto":
-            from ..field.montgomery import backend_for
-
-            mul_kind = backend_for(curve.field.p).mul_kind
-            rep = "mont" if mul_kind == "montgomery" else "canonical"
-        if rep not in ("canonical", "mont"):
-            raise ValueError("rep must be auto|canonical|mont")
+    def __init__(self, curve):
         self.curve = curve
-        self.kind = rep
         self.order = curve.order
         self._inf = _c.JAC_INFINITY
         self._add = _c.jac_add
@@ -148,39 +95,6 @@ class JacobianGroup(Group):
         self._mul = _c.jac_mul
         self._endo = None
         self._endo_resolved = False
-        self._mont = None
-        if rep == "mont":
-            ctx = curve.field.mont
-            self._mont = ctx
-            a_m = ctx.to_mont(curve.a)
-            add_mont = _c.jac_add_mont
-            double_mont = _c.jac_double_mont
-            add_affine_mont = _c.jac_add_affine_mont
-            # shadow the hot methods on the instance; the canonical path
-            # keeps the plain class methods (zero added dispatch)
-            self.add = lambda a, b: add_mont(ctx, a_m, a, b)
-            self.double = lambda el: double_mont(ctx, a_m, el)
-            self.add_mixed = lambda el, base: add_affine_mont(ctx, a_m, el, base)
-            self.reduce_buckets = self._reduce_buckets_mont
-            self.enter_kernel = self._enter_kernel_mont
-            self.exit_kernel = self._exit_kernel_mont
-
-    def __getstate__(self):
-        # the RESOLVED kind crosses the pool boundary: workers must run in
-        # the parent's representation, not re-calibrate their own
-        return (self.curve, self.kind)
-
-    def __setstate__(self, state):
-        if isinstance(state, tuple):
-            curve, kind = state
-        else:  # pre-representation pickles carried the bare curve
-            curve, kind = state, "auto"
-        self.__init__(curve, kind)
-
-    def canonical(self):
-        if self._mont is None:
-            return self
-        return JacobianGroup(self.curve, rep="canonical")
 
     def identity(self):
         return self._inf
@@ -206,10 +120,8 @@ class JacobianGroup(Group):
     # -- GLV ------------------------------------------------------------------
 
     def _endomorphism(self):
-        """Memoized ``(beta, lam, basis)`` or None (rebuilt after pickling)."""
+        """Memoized ``(beta, lam, basis)`` or None."""
         if not self._endo_resolved:
-            from ..ec.glv import curve_endomorphism, glv_basis
-
             params = curve_endomorphism(self.curve)
             if params is not None:
                 beta, lam = params
@@ -221,8 +133,6 @@ class JacobianGroup(Group):
         endo = self._endomorphism()
         if endo is None:
             return None
-        from ..ec.glv import split_scalar
-
         beta, _lam, basis = endo
         p = self.curve.field.p
         n = self.order
@@ -303,89 +213,6 @@ class JacobianGroup(Group):
                     lam = (y2 - y1) * inv_d % p
                     x3 = (lam * lam - x1 - x2) % p
                 nxt[bi].append((x3, (lam * (x1 - x3) - y1) % p))
-            lists = nxt
-        return [lst[0] if lst else None for lst in lists]
-
-    # -- Montgomery kernel representation --------------------------------------
-
-    def _enter_kernel_mont(self, bases):
-        """Affine canonical bases -> Montgomery form, one pass (2 REDC/point)."""
-        from ..field.montgomery import MONT_MULS, REDC_CALLS
-
-        ctx = self._mont
-        p, n0, mk, kk, r2 = ctx.p, ctx.n_prime, ctx.mask, ctx.k, ctx.r2
-        out = []
-        for x, y in bases:
-            t = x * r2
-            u = (t + ((t * n0) & mk) * p) >> kk
-            xm = u - p if u >= p else u
-            t = y * r2
-            u = (t + ((t * n0) & mk) * p) >> kk
-            out.append((xm, u - p if u >= p else u))
-        MONT_MULS.inc(2 * len(bases))
-        REDC_CALLS.inc(2 * len(bases))
-        return out  # domain: mont
-
-    def _exit_kernel_mont(self, el):
-        """Montgomery-form accumulator -> canonical Jacobian tuple."""
-        if el[2] == 0:
-            return self._inf
-        ctx = self._mont
-        return (ctx.from_mont(el[0]), ctx.from_mont(el[1]), ctx.from_mont(el[2]))
-
-    def _reduce_buckets_mont(self, bucket_lists):  # domain: kernel(mont)
-        """`reduce_buckets` on Montgomery-form affine pairs.
-
-        Same pairing rounds and special-case handling; products reduce by
-        REDC and the per-round inversion batch runs entirely in Montgomery
-        form (``MontgomeryContext.mont_batch_inverse``), so the collapsed
-        buckets equal the canonical ones under ``from_mont`` exactly.
-        """
-        ctx = self._mont
-        p = ctx.p
-        mul = ctx.mont_mul
-        a_m = ctx.to_mont(self.curve.a)
-        lists = bucket_lists
-        while True:
-            denoms = []
-            jobs = []  # (bucket, x1, y1, x2, y2, is_double)
-            nxt = [None] * len(lists)
-            pending = False
-            for bi, lst in enumerate(lists):
-                m = len(lst)
-                if m <= 1:
-                    nxt[bi] = lst
-                    continue
-                pending = True
-                keep = []
-                i = 0
-                while i + 1 < m:
-                    x1, y1 = lst[i]
-                    x2, y2 = lst[i + 1]
-                    if x1 == x2:
-                        if (y1 + y2) % p == 0:
-                            pass  # P + (-P): cancels, drop both
-                        else:
-                            denoms.append(2 * y1 % p)
-                            jobs.append((bi, x1, y1, 0, 0, True))
-                    else:
-                        denoms.append((x2 - x1) % p)
-                        jobs.append((bi, x1, y1, x2, y2, False))
-                    i += 2
-                if i < m:
-                    keep.append(lst[i])
-                nxt[bi] = keep
-            if not pending:
-                break
-            invs = ctx.mont_batch_inverse(denoms)
-            for (bi, x1, y1, x2, y2, dbl), inv_d in zip(jobs, invs):
-                if dbl:
-                    lam = mul((3 * mul(x1, x1) + a_m) % p, inv_d)
-                    x3 = (mul(lam, lam) - 2 * x1) % p
-                else:
-                    lam = ctx.redc((y2 - y1) * inv_d)
-                    x3 = (mul(lam, lam) - x1 - x2) % p
-                nxt[bi].append((x3, (ctx.redc(lam * (x1 - x3)) - y1) % p))
             lists = nxt
         return [lst[0] if lst else None for lst in lists]
 

@@ -193,9 +193,6 @@ def msm_generic(group, bases, scalars, pool=None, workers=1):
             bases, scalars = split
             if not bases:
                 return group.identity()
-    # the kernel-domain boundary: one conversion pass (e.g. canonical ->
-    # Montgomery form) after GLV recoding, never inside the window loops
-    bases = group.enter_kernel(bases)
     c = _window_bits(len(bases))
     _WINDOW_BITS.observe(c)
     half = 1 << (c - 1)
@@ -217,7 +214,7 @@ def msm_generic(group, bases, scalars, pool=None, workers=1):
             for _ in range(c):
                 result = group.double(result)
         result = group.add(result, sums[w])
-    return group.exit_kernel(result)
+    return result
 
 
 # -- pre-refactor reference kernel -------------------------------------------
@@ -247,9 +244,6 @@ def msm_reference(group, bases, scalars):
     (``tests/test_msm_parity.py``) and as the "before" side of the MSM
     kernel benchmark's before/after record.
     """
-    # the reference kernel predates kernel representations: always run it
-    # on canonical coordinates, whatever the caller's group calibrated to
-    group = group.canonical()
     if len(bases) != len(scalars):
         raise ValueError("msm: points and scalars differ in length")
     order = group.order

@@ -2,18 +2,8 @@
 
 from .prime_field import PrimeField, Fp
 from .extension import Fq2, Fq6, Fq12, BN254_P, XI, fq2_raw, fq6_raw, fq12_raw
-from .montgomery import (
-    BarrettContext,
-    FieldBackend,
-    MontgomeryContext,
-    backend_for,
-    force_backend,
-    wide_reducer,
-)
 
 __all__ = [
     "PrimeField", "Fp", "Fq2", "Fq6", "Fq12", "BN254_P", "XI",
     "fq2_raw", "fq6_raw", "fq12_raw",
-    "MontgomeryContext", "BarrettContext", "FieldBackend",
-    "backend_for", "force_backend", "wide_reducer",
 ]

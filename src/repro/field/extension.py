@@ -23,41 +23,16 @@ bits past ``2p^2`` harmlessly).  A full Fq12 multiplication therefore pays
 exactly 12 modular reductions and zero intermediate object allocations —
 the Miller loop in :mod:`repro.pairing.ate` runs entirely on these paths.
 Canonical reduction at construction keeps results bit-identical to the
-eagerly-reduced forms.
-
-The boundary reduction itself is pluggable: ``_WIDE`` is the calibrated
-wide reducer for this modulus (``repro.field.montgomery.wide_reducer`` —
-native ``%`` or Barrett, whichever the startup micro-calibration picked;
-both produce identical canonical values).  Tower elements always *store*
-canonical ints — coefficients cross equality checks, hashes, and the wire
-layer, so Montgomery form never leaks out of the int-tuple kernels in
-``ec``/``engine``.  ``set_wide_reducer`` swaps the reducer (tests force
-Barrett to prove the parity claim).
+eagerly-reduced forms.  Tower elements always *store* canonical ints:
+coefficients cross equality checks, hashes, and the wire layer.
 """
 
 from ..errors import FieldError
-from .montgomery import wide_reducer as _wide_reducer
 
 #: BN254 (a.k.a. alt_bn128) base-field prime.
 BN254_P = 21888242871839275222246405745257275088696311157297823662689037894645226208583
 
 _P = BN254_P
-
-#: calibrated boundary reducer: any int -> canonical form in [0, p)
-_WIDE = _wide_reducer(_P)
-
-
-def set_wide_reducer(fn=None):
-    """Install a boundary reducer for the tower; returns the previous one.
-
-    ``None`` restores the calibrated default.  The reducer must map any
-    integer (negative or a few bits past ``2 p^2``) to ``[0, p)``; all
-    valid reducers produce identical elements, so this only varies speed.
-    """
-    global _WIDE
-    previous = _WIDE
-    _WIDE = _wide_reducer(_P) if fn is None else fn
-    return previous
 
 
 # -- unchecked constructors ---------------------------------------------------
@@ -188,30 +163,28 @@ class Fq2:
         return Fq2(-self.c0, -self.c1)
 
     def __mul__(self, other):
-        rw = _WIDE
         if isinstance(other, int):
             e = Fq2.__new__(Fq2)
-            e.c0 = rw(self.c0 * other)
-            e.c1 = rw(self.c1 * other)
+            e.c0 = self.c0 * other % _P
+            e.c1 = self.c1 * other % _P
             return e
         # Karatsuba: (a0 + a1 u)(b0 + b1 u) with u^2 = -1
         t0 = self.c0 * other.c0
         t1 = self.c1 * other.c1
         t2 = (self.c0 + self.c1) * (other.c0 + other.c1)
         e = Fq2.__new__(Fq2)
-        e.c0 = rw(t0 - t1)
-        e.c1 = rw(t2 - t0 - t1)
+        e.c0 = (t0 - t1) % _P
+        e.c1 = (t2 - t0 - t1) % _P
         return e
 
     __rmul__ = __mul__
 
     def square(self):
         # (a0 + a1 u)^2 = (a0+a1)(a0-a1) + 2 a0 a1 u
-        rw = _WIDE
         t = self.c0 * self.c1
         e = Fq2.__new__(Fq2)
-        e.c0 = rw((self.c0 + self.c1) * (self.c0 - self.c1))
-        e.c1 = rw(t + t)
+        e.c0 = (self.c0 + self.c1) * (self.c0 - self.c1) % _P
+        e.c1 = (t + t) % _P
         return e
 
     def conjugate(self):
@@ -219,13 +192,13 @@ class Fq2:
 
     def inverse(self):
         # 1/(a0 + a1 u) = (a0 - a1 u) / (a0^2 + a1^2)
-        norm = _WIDE(self.c0 * self.c0 + self.c1 * self.c1)
+        norm = (self.c0 * self.c0 + self.c1 * self.c1) % _P
         if norm == 0:
             raise FieldError("inverse of zero in Fq2")
         inv = pow(norm, -1, _P)
         e = Fq2.__new__(Fq2)
-        e.c0 = _WIDE(self.c0 * inv)
-        e.c1 = _WIDE(-self.c1 * inv)
+        e.c0 = self.c0 * inv % _P
+        e.c1 = -self.c1 * inv % _P
         return e
 
     def mul_by_xi(self):
@@ -312,15 +285,15 @@ class Fq6:
     def _from_raw(raw):
         """Reduce a raw 6-tuple into a canonical element.
 
-        Exactly one boundary reduction per limb through the calibrated
-        wide reducer, with unchecked construction (the constructor's own
-        ``% p`` would be a redundant second reduction).
+        Exactly one boundary ``% p`` per limb, with unchecked construction
+        (the constructor's own ``% p`` would be a redundant second
+        reduction).
         """
-        rw = _WIDE
+        p = _P
         return fq6_raw(
-            fq2_raw(rw(raw[0]), rw(raw[1])),
-            fq2_raw(rw(raw[2]), rw(raw[3])),
-            fq2_raw(rw(raw[4]), rw(raw[5])),
+            fq2_raw(raw[0] % p, raw[1] % p),
+            fq2_raw(raw[2] % p, raw[3] % p),
+            fq2_raw(raw[4] % p, raw[5] % p),
         )
 
     def __mul__(self, other):

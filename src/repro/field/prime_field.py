@@ -37,7 +37,6 @@ class PrimeField:
         self._ts_q = q
         self._ts_s = s
         self._nonresidue = None
-        self._mont = None
 
     def __repr__(self):
         return "PrimeField(0x%x)" % self.p
@@ -87,34 +86,6 @@ class PrimeField:
         # faster than over an arbitrarily wide one, and e < 0 requires a
         # reduced base to mean (a mod p)^e
         return pow(a % self.p, e, self.p)
-
-    # -- representation backends ---------------------------------------------
-
-    @property
-    def backend(self):
-        """The calibrated :class:`~repro.field.montgomery.FieldBackend`.
-
-        Resolved lazily (the first access may run the per-modulus
-        micro-calibration) and honors ``force_backend`` /
-        ``REPRO_FIELD_BACKEND`` at resolution time.
-        """
-        from .montgomery import backend_for
-
-        return backend_for(self.p)
-
-    @property
-    def mont(self):
-        """A :class:`~repro.field.montgomery.MontgomeryContext` for ``p``.
-
-        Always constructible for odd ``p`` regardless of what the
-        calibration picked — parity tests and forced-Montgomery kernels
-        use it directly.
-        """
-        if self._mont is None:
-            from .montgomery import MontgomeryContext
-
-            self._mont = MontgomeryContext(self.p)
-        return self._mont
 
     def rand(self):
         """Uniform random element of the field."""

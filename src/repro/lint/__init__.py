@@ -15,7 +15,7 @@ Two analyzers plus a reporting layer, gated in CI:
   ``except``, no mutable default arguments; alias-aware.
 * :mod:`repro.lint.domains`  — a value-domain dataflow analyzer: every
   expression gets a lattice value (canonical mod-p, canonical mod-n,
-  Montgomery residue, raw tower tuple, wire bytes, nullifier, ...)
+  raw tower tuple, wire bytes, nullifier, ...)
   propagated through assignments, arithmetic, calls, and returns, and
   mixing representations across a declared boundary is an error.  Facts
   come from :mod:`repro.lint.domain_facts` plus inline ``# domain:``

@@ -8,18 +8,16 @@ return value lives in.  The other half is lightweight inline
 
 The lattice is flat (three levels)::
 
-                 top  (unknown / mixed)
-      /    |     |      |      |      |     \\
-  canonical(p) canonical(n) mont raw-tuple wire-bytes nullifier opaque
-      \\    |     |      |      |      |     /
-                 bot  (unreachable / unassigned)
+               top  (unknown / mixed)
+      /    |     |      |      |      \\
+  canonical(p) canonical(n) raw-tuple wire-bytes nullifier opaque
+      \\    |     |      |      |      /
+               bot  (unreachable / unassigned)
 
 * ``canonical(p)``  — an integer fully reduced mod the base prime p
   (G1/tower coordinate world).
 * ``canonical(n)``  — an integer fully reduced mod the group order n
   (scalar world: ECDSA, GLV halves, NTT over the BN254 scalar field).
-* ``mont``          — a Montgomery residue ``x*R mod p``; only meaningful
-  to REDC-style kernels, poison for canonical arithmetic.
 * ``raw-tuple``     — a lazily-unreduced tower value (the wide int
   tuples ``_m2``/``_m6`` return); must pass through a boundary reducer
   before leaving ``field/extension.py``.
@@ -43,24 +41,22 @@ BOT = "bot"
 TOP = "top"
 CANON_P = "canonical(p)"
 CANON_N = "canonical(n)"
-MONT = "mont"
 RAW = "raw-tuple"
 WIRE = "wire-bytes"
 NULLIFIER = "nullifier"
 OPAQUE = "opaque"
 
 #: the mid-level atoms of the flat lattice
-ATOMS = (CANON_P, CANON_N, MONT, RAW, WIRE, NULLIFIER, OPAQUE)
+ATOMS = (CANON_P, CANON_N, RAW, WIRE, NULLIFIER, OPAQUE)
 
 #: domains definite enough to raise a mixing error (opaque is known but
 #: deliberately unconstrained)
-SPECIFIC = frozenset({CANON_P, CANON_N, MONT, RAW, WIRE, NULLIFIER})
+SPECIFIC = frozenset({CANON_P, CANON_N, RAW, WIRE, NULLIFIER})
 
 #: spellings accepted by ``# domain:`` annotations (and the facts below)
 DOMAIN_NAMES = {
     "canonical(p)": CANON_P,
     "canonical(n)": CANON_N,
-    "mont": MONT,
     "raw-tuple": RAW,
     "raw": RAW,
     "wire-bytes": WIRE,
@@ -102,26 +98,7 @@ def meet(a, b):
 #: the call result.
 Sig = namedtuple("Sig", ("params", "ret"))
 
-#: Marker return for reducer *factories*: calling the fact binds the
-#: result name to a reducer closure whose own calls reduce into the
-#: domain named by the factory's modulus argument (``wide_reducer(p)``
-#: yields a ``canonical(p)``-producing callable).
-REDUCER_FACTORY = "reducer-factory"
-
 FACTS = {
-    # -- field/montgomery.py: MontgomeryContext / backends ---------------
-    "to_mont": Sig((CANON_P,), MONT),
-    "from_mont": Sig((MONT,), CANON_P),
-    "mont_mul": Sig((MONT, MONT), MONT),
-    "mont_sqr": Sig((MONT,), MONT),
-    "mont_inv": Sig((MONT,), MONT),
-    "mont_batch_inverse": Sig((MONT,), MONT),
-    # redc maps a double-wide product of montgomery residues to mont, but
-    # also plain wide ints to canonical/R^-1-scaled values: the result
-    # depends on what went in, so it stays opaque (kernels that know
-    # better annotate their scope with `# domain: kernel(mont)`).
-    "redc": Sig(None, OPAQUE),
-    "wide_reducer": Sig(None, REDUCER_FACTORY),
     # -- ec/curve.py: canonical Jacobian kernels -------------------------
     "jac_double": Sig((TOP, CANON_P), CANON_P),
     "jac_add": Sig((TOP, CANON_P, CANON_P), CANON_P),
@@ -129,19 +106,6 @@ FACTS = {
     "jac_mul": Sig((TOP, CANON_P, CANON_N), CANON_P),
     "jac_neg": Sig((TOP, CANON_P), CANON_P),
     "jac_to_affine": Sig((TOP, CANON_P), CANON_P),
-    # -- ec/curve.py: Montgomery mirrors ---------------------------------
-    "jac_double_mont": Sig((TOP, MONT, MONT), MONT),
-    "jac_add_mont": Sig((TOP, MONT, MONT, MONT), MONT),
-    "jac_add_affine_mont": Sig((TOP, MONT, MONT, MONT), MONT),
-    "jac_to_mont": Sig((TOP, CANON_P), MONT),
-    "jac_from_mont": Sig((TOP, MONT), CANON_P),
-    # -- engine/group.py: kernel representation boundary -----------------
-    # enter/exit are polymorphic over the group's rep: opaque, but the
-    # mont-specific implementations are exact.
-    "enter_kernel": Sig(None, OPAQUE),
-    "exit_kernel": Sig(None, OPAQUE),
-    "_enter_kernel_mont": Sig((CANON_P,), MONT),
-    "_exit_kernel_mont": Sig((MONT,), CANON_P),
     # -- field/extension.py: lazy tower ----------------------------------
     # the raw combinators produce double-wide unreduced tuples; only the
     # boundary reducers may consume them.
@@ -158,7 +122,6 @@ FACTS = {
     "fq6_raw": Sig(None, OPAQUE),
     "fq12_raw": Sig(None, OPAQUE),
     # -- engine/fft.py: scalar-field NTT ---------------------------------
-    "_fft_mont": Sig((CANON_N, CANON_N, TOP), CANON_N),
     "cached_fft": Sig((CANON_N, CANON_N), CANON_N),
     "cached_ifft": Sig((CANON_N, CANON_N), CANON_N),
     "coset_extend": Sig((CANON_N, CANON_N), CANON_N),
@@ -204,7 +167,7 @@ ATTR_DOMAINS = {
 
 #: names that denote the base prime p when they appear as `% <name>`
 MODULUS_P_NAMES = frozenset({"p", "_P", "BN254_P"})
-#: attribute spellings for p (`curve.field.p`, `ctx.p`)
+#: attribute spellings for p (`curve.field.p`)
 MODULUS_P_ATTRS = frozenset({"p"})
 
 #: names that denote the group order n when they appear as `% <name>`

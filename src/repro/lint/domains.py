@@ -1,11 +1,10 @@
 """Value-domain dataflow: every expression gets a representation domain.
 
-PR 8 made "convert once at kernel entry/exit, never inside loops" a
-load-bearing contract: Montgomery residues, canonical mod-p integers,
-canonical mod-n scalars, lazily-unreduced tower tuples, and raw proof
-bytes all coexist in the arithmetic core, distinguished by nothing but
-discipline.  This pass machine-checks that discipline.  It is an
-*intraprocedural abstract interpretation* over the AST: each expression
+Canonical mod-p integers, canonical mod-n scalars, lazily-unreduced
+tower tuples, and raw proof bytes all coexist in the arithmetic core as
+plain ints and bytes, distinguished by nothing but discipline.  This
+pass machine-checks that discipline.  It is an *intraprocedural
+abstract interpretation* over the AST: each expression
 is assigned a value in the flat lattice of :mod:`repro.lint.domain_facts`
 and the assignment is propagated through assignments, tuple unpacking,
 arithmetic, calls, returns, and loop bodies (a two-pass fixpoint — the
@@ -14,26 +13,17 @@ lattice is flat, so two sweeps reach the fixed point of any loop body).
 Facts come from two sources:
 
 * the checked-in signature table in ``domain_facts.py`` for the public
-  API surface (``to_mont``/``from_mont``/``mont_mul``, the ``jac_*``
-  kernels and their ``_mont`` mirrors, ``fq2_raw``/the tower boundary
-  reducers, ``enter_kernel``/``exit_kernel``, wire
-  ``seal``/``extract_proof``, the ECDSA mod-n reductions); and
+  API surface (the ``jac_*`` kernels, ``fq2_raw``/the tower's raw-tuple
+  combinators, the scalar-field NTT, wire ``seal``/``extract_proof``);
+  and
 * inline ``# domain:`` annotations for locals the inference cannot
   resolve::
 
-      x = mystery()          # domain: mont
-      def kern(ctx, a, b):   # domain: (top, mont, mont) -> mont
-      def _fft_mont(...):    # domain: kernel(mont)
-
-  The ``kernel(mont)`` form marks a function whose body works on
-  Montgomery residues throughout; inside it a ``% p`` is the additive
-  normalization companion to inline REDC and yields ``mont``, not
-  ``canonical(p)``.
+      x = mystery()          # domain: raw-tuple
+      def widen(a, b):       # domain: (canonical(p), canonical(p)) -> raw-tuple
 
 Checks (all keyed ``domains:<check>:<file>:<scope>`` for the baseline):
 
-* ``mont-into-canonical`` — a ``mont`` value meets a declared canonical
-  or raw operand (argument, arithmetic, or return position).
 * ``modulus-confusion``   — a mod-p value where mod-n is declared (or
   vice versa), including a ``canonical(n)`` scalar reduced ``% p``.
   A ``% n`` on a mod-p value is *not* flagged: ``r = point.x % n`` is
@@ -58,11 +48,9 @@ Design principle: *only definite facts conflict.*  ``top``, ``bot`` and
 ``opaque`` never raise a finding, so unannotated code stays quiet and
 every finding is rooted in two declared/inferred facts that disagree.
 
-Known imprecision (accepted, documented): ``mont * mont`` is tracked as
-``mont`` — REDC discipline is checked at kernel boundaries and declared
-signatures, not per-multiplication; attribute stores are not tracked;
-the analysis is intraprocedural, so facts do not flow through calls to
-functions that have no declared signature.
+Known imprecision (accepted, documented): attribute stores are not
+tracked; the analysis is intraprocedural, so facts do not flow through
+calls to functions that have no declared signature.
 """
 
 import ast
@@ -82,14 +70,12 @@ from .domain_facts import (
     MODULUS_N_NAMES,
     MODULUS_P_ATTRS,
     MODULUS_P_NAMES,
-    MONT,
     NULLIFIER,
     OPAQUE,
     POOL_DELTA_WRAPPERS,
     POOL_SUBMIT_NAMES,
     PURITY_EXEMPT_PATHS,
     RAW,
-    REDUCER_FACTORY,
     SPECIFIC,
     Sig,
     TOP,
@@ -143,13 +129,10 @@ def _split_top_level(text):
 def parse_annotation(spec):
     """Parse one ``# domain:`` spec.
 
-    Returns ``("kernel",)``, ``("sig", Sig(params, ret))``,
-    ``("value", domain)`` or ``None`` (malformed).
+    Returns ``("sig", Sig(params, ret))``, ``("value", domain)`` or
+    ``None`` (malformed).
     """
     spec = spec.strip()
-    low = spec.lower()
-    if low.startswith("kernel(") and low.endswith(")"):
-        return ("kernel",) if low[len("kernel("):-1].strip() == "mont" else None
     if "->" in spec:
         left, _, right = spec.partition("->")
         left = left.strip()
@@ -204,20 +187,16 @@ class ModuleAnnotations:
         return ann[1] if ann and ann[0] == "value" else None
 
     def for_def(self, node):
-        """(sig or None, kernel_mont bool) declared on a def's signature
-        lines (the ``def`` line through the line before the first body
-        statement, so multi-line signatures work)."""
-        sig, kernel = None, False
+        """The Sig (or None) declared on a def's signature lines (the
+        ``def`` line through the line before the first body statement, so
+        multi-line signatures work)."""
+        sig = None
         stop = node.body[0].lineno if node.body else node.lineno + 1
         for lineno in range(node.lineno, stop):
             ann = self.by_line.get(lineno)
-            if ann is None:
-                continue
-            if ann[0] == "sig":
+            if ann is not None and ann[0] == "sig":
                 sig = ann[1]
-            elif ann[0] == "kernel":
-                kernel = True
-        return sig, kernel
+        return sig
 
 
 # -- helpers ------------------------------------------------------------------
@@ -247,11 +226,6 @@ def _modulus_kind(node):
     return None
 
 
-def _as_domain(value):
-    """Env values may be reducer closures; as operands they are opaque."""
-    return OPAQUE if isinstance(value, tuple) else value
-
-
 def _root_name(node):
     """The base Name of an attribute/subscript chain, or None."""
     while isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -262,12 +236,11 @@ def _root_name(node):
 class _FuncState:
     """Mutable per-function interpretation state."""
 
-    __slots__ = ("env", "scope", "kernel_mont", "declared_ret")
+    __slots__ = ("env", "scope", "declared_ret")
 
-    def __init__(self, env, scope, kernel_mont=False, declared_ret=None):
-        self.env = env  # name -> domain (or ("reducer", domain))
+    def __init__(self, env, scope, declared_ret=None):
+        self.env = env  # name -> domain
         self.scope = scope  # qualname for finding keys
-        self.kernel_mont = kernel_mont
         self.declared_ret = declared_ret
 
 
@@ -310,8 +283,6 @@ class _Analyzer:
         pair = {a, b}
         if pair & {WIRE, NULLIFIER}:
             return "wire-escape"
-        if MONT in pair:
-            return "mont-into-canonical"
         if RAW in pair:
             return "raw-tuple-escape"
         if pair == {CANON_P, CANON_N}:
@@ -320,7 +291,6 @@ class _Analyzer:
 
     def _check_pair(self, got, want, node, st, context):
         """Flag when two *specific* domains disagree."""
-        got, want = _as_domain(got), _as_domain(want)
         if got == want or got not in SPECIFIC or want not in SPECIFIC:
             return
         check = self._classify_pair(got, want)
@@ -344,7 +314,7 @@ class _Analyzer:
         # in the file (including before the def) can use them
         for node in ast.walk(self.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                sig, _ = self.annots.for_def(node)
+                sig = self.annots.for_def(node)
                 if sig is not None:
                     self.local_sigs[node.name] = sig
         # pass 2: interpret the module body, collecting defs in order
@@ -372,14 +342,9 @@ class _Analyzer:
 
     def _analyze_function(self, node, qualname):
         env = dict(self.module_env)
-        sig, kernel = self.annots.for_def(node)
-        if sig is None:
-            sig = FACTS.get(node.name)
-            if sig is not None and sig.ret == REDUCER_FACTORY:
-                sig = None
+        sig = self.annots.for_def(node) or FACTS.get(node.name)
         st = _FuncState(
-            env, qualname, kernel_mont=kernel,
-            declared_ret=sig.ret if sig is not None else None,
+            env, qualname, declared_ret=sig.ret if sig is not None else None,
         )
         args = list(node.args.posonlyargs) + list(node.args.args)
         if args and args[0].arg in ("self", "cls"):
@@ -464,19 +429,17 @@ class _Analyzer:
 
     def _analyze_nested(self, node, st):
         saved_env, saved_scope = st.env, st.scope
-        saved_kernel, saved_ret = st.kernel_mont, st.declared_ret
-        sig, kernel = self.annots.for_def(node)
+        saved_ret = st.declared_ret
+        sig = self.annots.for_def(node)
         st.env = dict(saved_env)
         st.scope = "%s.%s" % (saved_scope, node.name)
-        st.kernel_mont = kernel or saved_kernel
         st.declared_ret = sig.ret if sig is not None else None
         params = sig.params if sig is not None and sig.params is not None else ()
         args = list(node.args.posonlyargs) + list(node.args.args)
         for i, arg in enumerate(args):
             st.env[arg.arg] = params[i] if i < len(params) else TOP
         self._exec_block(node.body, st)
-        st.env, st.scope = saved_env, saved_scope
-        st.kernel_mont, st.declared_ret = saved_kernel, saved_ret
+        st.env, st.scope, st.declared_ret = saved_env, saved_scope, saved_ret
 
     def _exec_import_from(self, stmt, st):
         for alias in stmt.names:
@@ -536,17 +499,16 @@ class _Analyzer:
         forced = self.annots.value_at(stmt.lineno)
         if forced is not None:
             value = forced
-        dom = _as_domain(value)
         if st.declared_ret is not None:
-            self._check_pair(dom, st.declared_ret, stmt, st, "return value")
-        if dom == RAW and st.declared_ret != RAW and not self.raw_home:
+            self._check_pair(value, st.declared_ret, stmt, st, "return value")
+        if value == RAW and st.declared_ret != RAW and not self.raw_home:
             self._add(
                 "raw-tuple-escape", "error", stmt, st.scope,
                 "unreduced tower tuple returned without boundary reduction "
-                "(reduce through the wide reducer, or declare "
+                "(reduce each limb `% p`, or declare "
                 "`# domain: (...) -> raw-tuple`)",
             )
-        if dom == WIRE and st.declared_ret != WIRE and not self.wire_exempt:
+        if value == WIRE and st.declared_ret != WIRE and not self.wire_exempt:
             self._add(
                 "wire-escape", "error", stmt, st.scope,
                 "raw proof bytes returned from outside the wire layer; "
@@ -561,15 +523,10 @@ class _Analyzer:
         st.env = dict(before)
         self._exec_block(stmt.orelse, st)
         after_else = st.env
-        merged = {}
-        for name in set(after_body) | set(after_else):
-            a = after_body.get(name, BOT)
-            b = after_else.get(name, BOT)
-            if isinstance(a, tuple) or isinstance(b, tuple):
-                merged[name] = a if a == b else TOP
-            else:
-                merged[name] = join(a, b)
-        st.env = merged
+        st.env = {
+            name: join(after_body.get(name, BOT), after_else.get(name, BOT))
+            for name in set(after_body) | set(after_else)
+        }
 
     # -- expressions ---------------------------------------------------------
 
@@ -591,7 +548,7 @@ class _Analyzer:
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
             dom = BOT
             for elt in node.elts:
-                dom = join(dom, _as_domain(self._eval(elt, st)))
+                dom = join(dom, self._eval(elt, st))
             return dom
         if isinstance(node, ast.Dict):
             for k in node.keys:
@@ -607,14 +564,11 @@ class _Analyzer:
         if isinstance(node, ast.BoolOp):
             dom = BOT
             for v in node.values:
-                dom = join(dom, _as_domain(self._eval(v, st)))
+                dom = join(dom, self._eval(v, st))
             return dom
         if isinstance(node, ast.IfExp):
             self._eval(node.test, st)
-            return join(
-                _as_domain(self._eval(node.body, st)),
-                _as_domain(self._eval(node.orelse, st)),
-            )
+            return join(self._eval(node.body, st), self._eval(node.orelse, st))
         if isinstance(node, ast.Compare):
             self._eval(node.left, st)
             for comp in node.comparators:
@@ -659,7 +613,7 @@ class _Analyzer:
             self._bind_target(gen.target, src, st)
             for cond in gen.ifs:
                 self._eval(cond, st)
-        dom = _as_domain(self._eval(elt, st))
+        dom = self._eval(elt, st)
         st.env = saved
         return dom
 
@@ -668,13 +622,7 @@ class _Analyzer:
         if isinstance(node.op, ast.Mod):
             kind = _modulus_kind(node.right)
             if kind == "p":
-                ldom = _as_domain(left)
-                if st.kernel_mont or ldom == MONT:
-                    # inside a mont kernel, `% p` is the additive
-                    # normalization riding alongside inline REDC: the
-                    # value stays a Montgomery residue
-                    return MONT
-                if ldom == CANON_N:
+                if left == CANON_N:
                     self._add(
                         "modulus-confusion", "error", node, st.scope,
                         "mod-n scalar reduced `% p`; scalars live mod the "
@@ -682,41 +630,34 @@ class _Analyzer:
                     )
                 return CANON_P
             if kind == "n":
-                if _as_domain(left) == MONT:
-                    self._add(
-                        "mont-into-canonical", "error", node, st.scope,
-                        "Montgomery residue reduced `% n`; convert out of "
-                        "mont form (from_mont/exit_kernel) first",
-                    )
                 return CANON_N
         right = self._eval(node.right, st)
         return self._combine(left, right, node, st, op=node.op)
 
     def _combine(self, left, right, node, st, op=None):
-        l, r = _as_domain(left), _as_domain(right)
         if (
             not self.wire_exempt
-            and {l, r} & {WIRE, NULLIFIER}
-            and l in SPECIFIC
-            and r in SPECIFIC
+            and {left, right} & {WIRE, NULLIFIER}
+            and left in SPECIFIC
+            and right in SPECIFIC
         ):
             self._add(
                 "wire-escape", "error", node, st.scope,
                 "arithmetic on raw proof bytes outside the wire layer "
                 "(hand-assembled envelopes bypass sealing and nullifiers)",
             )
-            return WIRE if WIRE in (l, r) else NULLIFIER
-        if l == r:
-            return l
-        if l in NEUTRAL:
-            return r
-        if r in NEUTRAL:
-            return l
-        check = self._classify_pair(l, r)
+            return WIRE if WIRE in (left, right) else NULLIFIER
+        if left == right:
+            return left
+        if left in NEUTRAL:
+            return right
+        if right in NEUTRAL:
+            return left
+        check = self._classify_pair(left, right)
         if check is not None and not (check == "wire-escape" and self.wire_exempt):
             self._add(
                 check, "error", node, st.scope,
-                "mixed-domain arithmetic: `%s` with `%s`" % (l, r),
+                "mixed-domain arithmetic: `%s` with `%s`" % (left, right),
             )
         return TOP
 
@@ -727,19 +668,6 @@ class _Analyzer:
         arg_domains = [self._eval(a, st) for a in node.args]
         for kw in node.keywords:
             self._eval(kw.value, st)
-        # calling a reducer closure reduces a wide value into its world
-        if isinstance(func, ast.Name):
-            bound = st.env.get(func.id)
-            if isinstance(bound, tuple) and bound[0] == "reducer":
-                if node.args and _as_domain(arg_domains[0]) == MONT:
-                    # reducing a mont residue by raw `%` silently strips
-                    # nothing: the R factor survives the reduction
-                    self._add(
-                        "mont-into-canonical", "error", node, st.scope,
-                        "Montgomery residue passed to a canonical wide "
-                        "reducer; use from_mont/exit_kernel",
-                    )
-                return bound[1]
         name = _terminal_name(func)
         if name is None:
             self._eval(func, st)
@@ -749,10 +677,7 @@ class _Analyzer:
         if name in _MUTATORS and isinstance(func, ast.Attribute):
             recv = func.value
             if isinstance(recv, ast.Name) and node.args:
-                cur = st.env.get(recv.id, BOT)
-                new = _as_domain(arg_domains[0])
-                if not isinstance(cur, tuple):
-                    st.env[recv.id] = join(cur, new)
+                st.env[recv.id] = join(st.env.get(recv.id, BOT), arg_domains[0])
             return TOP
         if name == "pow" and len(node.args) == 3:
             kind = _modulus_kind(node.args[2])
@@ -776,13 +701,6 @@ class _Analyzer:
                     got, want, node, st,
                     "argument %d of %s()" % (i + 1, name),
                 )
-        if sig.ret == REDUCER_FACTORY:
-            kind = _modulus_kind(node.args[0]) if node.args else None
-            if kind == "p":
-                return ("reducer", CANON_P)
-            if kind == "n":
-                return ("reducer", CANON_N)
-            return OPAQUE
         return sig.ret
 
     # -- worker-pool purity --------------------------------------------------
@@ -916,7 +834,7 @@ def analyze_paths(paths):
     """Analyze explicit files or directories (fixtures, ad-hoc runs).
 
     Relative keys are the final two path components (``lint_fixtures/
-    mix_mont.py``) so finding keys stay stable wherever the checkout
+    confuse_moduli.py``) so finding keys stay stable wherever the checkout
     lives.
     """
     files = []

@@ -27,18 +27,16 @@ Repo rules enforced (each a check name, keyed per file + enclosing scope):
 * ``inv-in-loop``      — a modular-inverse call (``inv(...)`` /
   ``*.inv(...)``) lexically inside a ``for``/``while`` body.  One
   inversion costs hundreds of multiplications; a loop of them almost
-  always wants Montgomery batch inversion
-  (``PrimeField.batch_inverse`` / ``MontgomeryContext.
-  mont_batch_inverse``: ``3n`` multiplications + one inverse for the
-  whole batch, as the MSM's batched-affine bucket accumulation does).
+  always wants Montgomery's batch-inversion trick
+  (``PrimeField.batch_inverse``: ``3n`` multiplications + one inverse for
+  the whole batch, as the MSM's batched-affine bucket accumulation does).
   Severity: error — loops whose trip count is provably tiny carry a
   baseline justification.
 Two former rules moved into the value-domain analyzer
 (:mod:`repro.lint.domains`), which supersedes their syntactic versions
-with real dataflow: ``raw-mod-in-hot-loop`` (now the ``mont``/
-``canonical`` domain discipline itself — a raw ``%`` on the wrong
-representation is a mixing error, a legitimate additive normalization
-is not) and ``wire-bypass`` (now ``wire-escape``, which also tracks
+with real dataflow: ``raw-mod-in-hot-loop`` (now the ``canonical``
+domain discipline itself — a raw ``%`` by the wrong modulus is a
+mixing error, a legitimate normalization is not) and ``wire-bypass`` (now ``wire-escape``, which also tracks
 proof bytes through assignments and returns).
 
 All checks are static and syntactic, but alias-aware: ``import random

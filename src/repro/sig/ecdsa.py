@@ -15,7 +15,6 @@ import secrets
 from ..ec.glv import curve_endomorphism, decompose, glv_basis, split_scalar
 from ..ec.msm import straus
 from ..errors import SignatureError
-from ..field.montgomery import wide_reducer as _wide_reducer
 
 #: memo: Curve -> glv_basis(lam, n), for curves with an endomorphism
 _GLV_BASES = {}
@@ -142,11 +141,8 @@ class EcdsaPublicKey:
             raise SignatureError("signature component out of range")
         h = bits2int(msg_hash, n)
         w = pow(s, -1, n)
-        # double-wide products reduce through the calibrated backend for
-        # the scalar field (native % or Barrett, whichever measured faster)
-        red = _wide_reducer(n)
-        u1 = red(h * w)
-        u2 = red(r * w)
+        u1 = h * w % n
+        u2 = r * w % n
         terms = _glv_terms(self.curve, [self.curve.generator, self.point], [u1, u2])
         if terms is not None and terms[0]:
             pt = straus(terms[0], terms[1], window=1)
@@ -181,11 +177,10 @@ class EcdsaPublicKey:
             raise SignatureError("signature component out of range")
         h = bits2int(msg_hash, n)
         w = pow(s, -1, n)
-        red = _wide_reducer(n)
-        h0 = red(h * w)
-        h1 = red(r * w)
+        h0 = h * w % n
+        h1 = r * w % n
         v, v2, sign = decompose(h1, n)
-        t = red(h0 * v)
+        t = h0 * v % n
         half = (n.bit_length() + 1) // 2
         v0 = t % (1 << half)
         v1 = t >> half

@@ -15,7 +15,7 @@ Subcommands:
 * ``certify FILE...`` — build run certificates for existing records;
   ``--append`` extends the append-only ``benchmarks/history`` chains.
 * ``replay CERT`` — re-execute a certified bench under ``FakeClock`` with
-  the recorded config/seeds and forced field backends, and assert the
+  the recorded config/seeds, and assert the
   deterministic portions (metric counts, trace structure) match.
 * ``trajectory`` — diff current ``BENCH_*.json`` records against each
   checked-in history head; fail on metric-count regressions and on timing

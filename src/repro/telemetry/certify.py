@@ -6,8 +6,7 @@ canonical, hash-committed JSON document binding everything a reader needs
 to re-verify the run's claims:
 
 * the bench name, its full config, and the git revision;
-* an environment fingerprint (python version, ``REPRO_FIELD_BACKEND``,
-  the calibrated field-backend outcome per modulus, worker count);
+* an environment fingerprint (python version, worker count);
 * the SHA-256 of the canonical record (``record_digest``);
 * the SHA-256 of the run's ``metrics_signature`` (count-valued metrics,
   ``pool.*`` dispatch counters excluded) and ``trace_signature``
@@ -24,17 +23,16 @@ certificate that does not commit to the current head.
 Two verifiers consume certificates:
 
 * :func:`replay_certificate` re-executes the certified bench's ``replay``
-  entrypoint under a ``FakeClock`` with the recorded config and forced
-  field backends, and asserts the deterministic portions — metric counts
-  and trace structure — match the certificate bit-identically (strict
-  certs) or are bit-identical across two consecutive executions
-  (structural certs, e.g. pytest-session records whose process-wide
-  metrics mix several modules).
+  entrypoint under a ``FakeClock`` with the recorded config, and
+  asserts the deterministic portions — metric counts and trace
+  structure — match the certificate bit-identically (strict certs) or
+  are bit-identical across two consecutive executions (structural
+  certs, e.g. pytest-session records whose process-wide metrics mix
+  several modules).
 * :func:`run_trajectory` diffs the current ``BENCH_*.json`` records
   against each history head and fails on metric-count regressions
-  (``msm.calls``, ``msm.bucket_adds``, ``field.mont_muls``, the
-  ``fft.size`` distribution, ``r1cs.constraints``, cache hit ratios) and
-  on timing regressions beyond a configurable tolerance band.
+  (``msm.calls``, ``msm.bucket_adds``, the ``fft.size`` distribution,
+  ``r1cs.constraints``, cache hit ratios) and on timing regressions beyond a configurable tolerance band.
 
 Wall-times are deliberately *excluded* from the replay guarantee — they
 are hardware facts, bounded only by the trajectory tolerance band — while
@@ -46,7 +44,6 @@ import hmac
 import json
 import os
 import sys
-from contextlib import ExitStack
 
 from .bench import build_record
 from .export import SIGNATURE_EXCLUDE_PREFIXES, metrics_signature, render_span_tree
@@ -191,20 +188,10 @@ def extract_timings(results, prefix="", inherited=False):
 
 def environment_fingerprint(config):
     """What the run's numbers depend on besides the code and config:
-    python version, the ``REPRO_FIELD_BACKEND`` override, the calibrated
-    backend kind for every modulus this process resolved, and the worker
-    count."""
-    from ..field import montgomery
-
-    backends = {
-        str(p): "%s/%s" % (b.mul_kind, b.wide_kind)
-        for p, b in montgomery._backends.items()
-    }
+    python version and the worker count."""
     workers = config.get("workers", 0)
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
-        "field_backend": os.environ.get(montgomery.BACKEND_ENV, ""),
-        "backends": backends,
         "workers": int(workers) if isinstance(workers, int) else 0,
     }
 
@@ -446,21 +433,6 @@ def _load_entrypoint(entrypoint, benchmarks_dir=None):
     return fn
 
 
-def _forced_backend_contexts(environment):
-    """force_backend context managers pinning every modulus the certified
-    run calibrated, so replay cannot calibrate its way to different
-    instruction counts."""
-    from ..field import montgomery
-
-    contexts = []
-    for p_str, kinds in sorted(environment.get("backends", {}).items()):
-        mul_kind, _, wide_kind = kinds.partition("/")
-        contexts.append(
-            montgomery.force_backend(int(p_str), mul_kind, wide_kind)
-        )
-    return contexts
-
-
 def _reset_process_caches():
     """Clear the engine's process-wide memo caches (compiled circuits,
     prepared keys, eval cache) so every replay execution starts from the
@@ -476,7 +448,7 @@ def _reset_process_caches():
 
 def _execute_replay(fn, cert):
     """One deterministic execution of a cert's replay core: fake clock,
-    forced field backends, cold engine caches, fresh metrics/trace state.
+    cold engine caches, fresh metrics/trace state.
     Returns the resulting bench record."""
     from ..clock import FakeClock
     from . import clocks, metrics
@@ -484,27 +456,24 @@ def _execute_replay(fn, cert):
 
     was_enabled = TRACER.enabled
     with clocks.use_clock(FakeClock()):
-        with ExitStack() as stack:
-            for ctx in _forced_backend_contexts(cert.get("environment", {})):
-                stack.enter_context(ctx)
-            _reset_process_caches()
-            TRACER.reset()
-            metrics.reset()
-            if cert.get("trace_signature"):
+        _reset_process_caches()
+        TRACER.reset()
+        metrics.reset()
+        if cert.get("trace_signature"):
+            TRACER.enable()
+        else:
+            TRACER.disable()
+        try:
+            results = fn(dict(cert.get("config", {})))
+            record = build_record(
+                cert.get("bench", ""), cert.get("config", {}), results,
+                created=cert.get("created_unix", 0),
+            )
+        finally:
+            if was_enabled:
                 TRACER.enable()
             else:
                 TRACER.disable()
-            try:
-                results = fn(dict(cert.get("config", {})))
-                record = build_record(
-                    cert.get("bench", ""), cert.get("config", {}), results,
-                    created=cert.get("created_unix", 0),
-                )
-            finally:
-                if was_enabled:
-                    TRACER.enable()
-                else:
-                    TRACER.disable()
     return record
 
 

@@ -199,9 +199,20 @@ def decode_oid_body(body):
     return ".".join(str(p) for p in parts)
 
 
+def decode_text(content, encoding="ascii"):
+    """Decode a string body; malformed bytes raise EncodingError."""
+    try:
+        return content.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise EncodingError("invalid %s string: %s" % (encoding, exc)) from None
+
+
 def decode_utctime(content):
-    text = content.decode("ascii")
-    t = time.strptime(text, "%y%m%d%H%M%SZ")
+    text = decode_text(content)
+    try:
+        t = time.strptime(text, "%y%m%d%H%M%SZ")
+    except ValueError:
+        raise EncodingError("malformed UTCTime %r" % text) from None
     return calendar.timegm(t)
 
 

@@ -22,6 +22,7 @@ from .asn1 import (
     TAG_INTEGER,
     TAG_OCTET_STRING,
     TAG_SEQUENCE,
+    decode_text,
     decode_utctime,
     encode_bit_string,
     encode_boolean,
@@ -91,7 +92,7 @@ class Name:
             inner = DerReader(set_content).read_sequence()
             o = inner.read_oid()
             _, text = inner.read()
-            attrs.append((o, text.decode("utf-8")))
+            attrs.append((o, decode_text(text, "utf-8")))
         return cls(attrs)
 
     def __eq__(self, other):
@@ -249,7 +250,7 @@ def parse_san(value):
     while not inner.exhausted:
         tag, body = inner.read()
         if tag == 0x82:  # context [2] primitive: dNSName
-            names.append(body.decode("ascii"))
+            names.append(decode_text(body))
     return names
 
 
@@ -290,7 +291,7 @@ def parse_aia_ocsp(value):
         method = access.read_oid()
         tag, body = access.read()
         if method == OID.OID_AIA_OCSP and tag == 0x86:
-            return body.decode("ascii")
+            return decode_text(body)
     return None
 
 

@@ -277,8 +277,8 @@ class TestTrajectoryGate:
 
     def test_improvement_is_a_note_not_a_failure(self, tmp_path):
         hist, records = str(tmp_path / "h"), str(tmp_path)
-        self._seed_history(hist, {"field.mont_muls": 100})
-        self._write_current(records, {"field.mont_muls": 60})
+        self._seed_history(hist, {"msm.bucket_adds": 100})
+        self._write_current(records, {"msm.bucket_adds": 60})
         lines = []
         assert ct.run_trajectory(
             history_dir=hist, records_dir=records, out=lines.append
@@ -381,7 +381,7 @@ class TestTrajectoryGate:
 
     def test_missing_metric_is_a_regression(self, tmp_path):
         hist, records = str(tmp_path / "h"), str(tmp_path)
-        self._seed_history(hist, {"msm.calls": 10, "field.mont_muls": 5})
+        self._seed_history(hist, {"msm.calls": 10, "msm.bucket_adds": 5})
         self._write_current(records, {"msm.calls": 10})
         lines = []
         assert ct.run_trajectory(

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ec import P256, SECP256K1, TOY61, BN254_G1, Point, decompose, half_width_bound, msm, straus
+from repro.ec import P256, SECP256K1, TOY61, BN254_G1, Point, decompose, half_width_bound, straus
 from repro.ec.curve import JAC_INFINITY, jac_add, jac_add_affine, jac_double, jac_mul, jac_to_affine
+from repro.engine import DEFAULT_ENGINE
 from repro.errors import CurveError
+
+msm_points = DEFAULT_ENGINE.msm_points
 
 ALL_CURVES = [P256, SECP256K1, TOY61, BN254_G1]
 
@@ -63,6 +66,12 @@ class TestGroupLaw:
         assert Point.decode(curve, curve.infinity.encode()) == curve.infinity
 
 
+def _rescaled(curve, pt, z):
+    """An arbitrary-Z Jacobian representative of the affine Point ``pt``."""
+    p = curve.field.p
+    return (pt.x * z * z % p, pt.y * z * z * z % p, z)
+
+
 class TestJacobian:
     def test_roundtrip(self):
         g = P256.generator
@@ -72,27 +81,43 @@ class TestJacobian:
         g = P256.generator
         jac = jac_double(P256, g.to_jacobian())
         assert Point.from_jacobian(P256, jac) == 2 * g
+        assert jac_double(P256, JAC_INFINITY) == JAC_INFINITY
 
     def test_add_matches_affine(self):
         g = P256.generator
         j = jac_add(P256, (2 * g).to_jacobian(), (3 * g).to_jacobian())
         assert Point.from_jacobian(P256, j) == 5 * g
+        # infinity on either side returns the other operand unchanged
+        pt = _rescaled(P256, 2 * g, 12345)
+        assert jac_add(P256, JAC_INFINITY, pt) == pt
+        assert jac_add(P256, pt, JAC_INFINITY) == pt
 
     def test_add_affine_mixed(self):
         g = P256.generator
         q = 7 * g
         j = jac_add_affine(P256, (2 * g).to_jacobian(), (q.x, q.y))
         assert Point.from_jacobian(P256, j) == 9 * g
+        # an infinity accumulator lifts the affine base with Z = 1
+        assert jac_add_affine(P256, JAC_INFINITY, (q.x, q.y)) == (q.x, q.y, 1)
 
     def test_add_same_point_doubles(self):
         g = P256.generator
         j = jac_add(P256, g.to_jacobian(), g.to_jacobian())
         assert Point.from_jacobian(P256, j) == 2 * g
+        # same point under two different Z representatives still doubles
+        q = 5 * BN254_G1.generator
+        a, b = _rescaled(BN254_G1, q, 77), _rescaled(BN254_G1, q, 91)
+        assert Point.from_jacobian(BN254_G1, jac_add(BN254_G1, a, b)) == 2 * q
+        assert jac_add(BN254_G1, a, a) == jac_double(BN254_G1, a)
 
     def test_add_inverse_gives_infinity(self):
         g = P256.generator
         j = jac_add(P256, g.to_jacobian(), (-g).to_jacobian())
         assert jac_to_affine(P256, j) is None
+        q = 5 * BN254_G1.generator
+        a, b = _rescaled(BN254_G1, q, 77), _rescaled(BN254_G1, -q, 91)
+        assert jac_add(BN254_G1, a, b) == JAC_INFINITY
+        assert jac_add_affine(BN254_G1, a, ((-q).x, (-q).y)) == JAC_INFINITY
 
     def test_mul_zero(self):
         g = P256.generator
@@ -113,27 +138,27 @@ class TestMsm:
         points = [g, 2 * g, 3 * g]
         scalars = [5, 7, 11]
         expected = (5 + 14 + 33) * g
-        assert msm(points, scalars) == expected
+        assert msm_points(points, scalars) == expected
 
     def test_msm_with_zero_scalars(self):
         g = P256.generator
-        assert msm([g, 2 * g], [0, 0]) == P256.infinity
+        assert msm_points([g, 2 * g], [0, 0]) == P256.infinity
 
     def test_msm_with_infinity_points(self):
         g = P256.generator
-        assert msm([P256.infinity, g], [5, 3]) == 3 * g
+        assert msm_points([P256.infinity, g], [5, 3]) == 3 * g
 
     def test_msm_single(self):
         g = TOY61.generator
-        assert msm([g], [42]) == 42 * g
+        assert msm_points([g], [42]) == 42 * g
 
     def test_msm_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            msm([P256.generator], [1, 2])
+            msm_points([P256.generator], [1, 2])
 
     def test_msm_empty(self):
         with pytest.raises(ValueError):
-            msm([], [])
+            msm_points([], [])
 
     def test_msm_large_random(self):
         g = TOY61.generator
@@ -142,7 +167,7 @@ class TestMsm:
         expected = sum(
             (k * p for p, k in zip(points, scalars)), TOY61.infinity
         )
-        assert msm(points, scalars) == expected
+        assert msm_points(points, scalars) == expected
 
     def test_straus_matches_naive(self):
         g = P256.generator

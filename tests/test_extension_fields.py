@@ -135,88 +135,3 @@ class TestFq12:
             Fq6(Fq2(7, 8), Fq2(9, 10), Fq2(11, 12)),
         )
         assert a.pow(-3) * a.pow(3) == Fq12.one()
-
-
-class TestWideReducerSwap:
-    """The tower's boundary reduction is pluggable; every valid reducer
-    yields identical elements (Barrett vs native parity)."""
-
-    def _exercise(self):
-        a = Fq12(
-            Fq6(Fq2(1, 2), Fq2(3, 4), Fq2(5, 6)),
-            Fq6(Fq2(7, 8), Fq2(9, 10), Fq2(11, 12)),
-        )
-        b = Fq12(
-            Fq6(Fq2(13, 14), Fq2(15, 16), Fq2(17, 18)),
-            Fq6(Fq2(19, 20), Fq2(21, 22), Fq2(23, 24)),
-        )
-        return [a * b, a.square(), a.inverse(), (a + b) * (a - b), a.pow(97)]
-
-    def test_barrett_reducer_parity(self):
-        from repro.field import BarrettContext
-        from repro.field.extension import set_wide_reducer
-
-        want = self._exercise()
-        prev = set_wide_reducer(BarrettContext(BN254_P).reduce)
-        try:
-            got = self._exercise()
-        finally:
-            set_wide_reducer(prev)
-        assert got == want
-
-    def test_restore_default(self):
-        from repro.field.extension import _WIDE, set_wide_reducer
-
-        marker = BN254_P.__rmod__
-        prev = set_wide_reducer(marker)
-        try:
-            from repro.field import extension
-
-            assert extension._WIDE is marker
-        finally:
-            set_wide_reducer(prev)
-
-
-class TestMontgomeryFormIdentities:
-    """Frobenius and conjugation commute with the Montgomery bijection:
-    applying them limb-wise in Montgomery form then mapping back equals
-    the canonical operation (both are Fp-linear maps)."""
-
-    def _ctx(self):
-        from repro.field import MontgomeryContext
-
-        return MontgomeryContext(BN254_P)
-
-    def test_fq2_frobenius_in_mont_form(self):
-        ctx = self._ctx()
-        a = Fq2(123456789, 987654321)
-        # Fq2 Frobenius is conjugation: (c0, -c1); apply on mont limbs
-        c0m, c1m = ctx.to_mont(a.c0), ctx.to_mont(a.c1)
-        frob_m = (c0m, (-c1m) % BN254_P)
-        want = a.frobenius()
-        assert ctx.from_mont(frob_m[0]) == want.c0
-        assert ctx.from_mont(frob_m[1]) == want.c1
-
-    def test_fq2_conjugate_round_trip(self):
-        ctx = self._ctx()
-        a = Fq2(31337, 271828)
-        via_mont = Fq2(
-            ctx.from_mont(ctx.to_mont(a.c0)),
-            ctx.from_mont((-ctx.to_mont(a.c1)) % BN254_P),
-        )
-        assert via_mont == a.conjugate()
-
-    def test_mont_mul_matches_tower_mul(self):
-        # a full Fq2 product computed limb-wise with mont_mul reproduces
-        # the tower's Karatsuba result
-        ctx = self._ctx()
-        a = Fq2(11, 22)
-        b = Fq2(33, 44)
-        am = [ctx.to_mont(a.c0), ctx.to_mont(a.c1)]
-        bm = [ctx.to_mont(b.c0), ctx.to_mont(b.c1)]
-        # (a0 + a1 u)(b0 + b1 u) with u^2 = -1
-        c0m = (ctx.mont_mul(am[0], bm[0]) - ctx.mont_mul(am[1], bm[1])) % BN254_P
-        c1m = (ctx.mont_mul(am[0], bm[1]) + ctx.mont_mul(am[1], bm[0])) % BN254_P
-        want = a * b
-        assert ctx.from_mont(c0m) == want.c0
-        assert ctx.from_mont(c1m) == want.c1

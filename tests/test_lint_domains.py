@@ -22,7 +22,6 @@ from repro.lint.domain_facts import (
     BOT,
     CANON_N,
     CANON_P,
-    MONT,
     OPAQUE,
     RAW,
     TOP,
@@ -44,7 +43,6 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "lint_fixtur
 ELEMENTS = (BOT, TOP) + ATOMS
 
 MIXING_CHECKS = {
-    "mont-into-canonical",
     "raw-tuple-escape",
     "modulus-confusion",
     "wire-escape",
@@ -99,7 +97,7 @@ class TestLattice:
 
 class TestAnnotations:
     def test_value_forms(self):
-        assert parse_annotation("mont") == ("value", MONT)
+        assert parse_annotation("canonical(p)") == ("value", CANON_P)
         assert parse_annotation("raw") == ("value", RAW)
         assert parse_annotation("raw-tuple") == ("value", RAW)
         assert parse_annotation("wire") == ("value", WIRE)
@@ -107,9 +105,9 @@ class TestAnnotations:
         assert parse_annotation("any") == ("value", TOP)
 
     def test_signature_forms(self):
-        assert parse_annotation("(top, mont, mont) -> mont") == (
+        assert parse_annotation("(top, raw, raw) -> raw-tuple") == (
             "sig",
-            Sig((TOP, MONT, MONT), MONT),
+            Sig((TOP, RAW, RAW), RAW),
         )
         assert parse_annotation("() -> opaque") == ("sig", Sig((), OPAQUE))
         # parenthesized domain tokens survive the comma split
@@ -117,43 +115,30 @@ class TestAnnotations:
             "(canonical(p), canonical(n)) -> canonical(p)"
         ) == ("sig", Sig((CANON_P, CANON_N), CANON_P))
 
-    def test_kernel_form(self):
-        assert parse_annotation("kernel(mont)") == ("kernel",)
-        assert parse_annotation("kernel(barrett)") is None
-
     def test_malformed(self):
         assert parse_annotation("florps") is None
-        assert parse_annotation("(mont -> mont") is None
-        assert parse_annotation("(mont,) -> florps") is None
+        assert parse_annotation("(raw -> raw") is None
+        assert parse_annotation("(raw,) -> florps") is None
 
     def test_only_real_comments_register(self):
         src = (
-            '"""Docs may say: write `# domain: mont` on the line."""\n'
-            "x = 1  # domain: mont\n"
+            '"""Docs may say: write `# domain: raw` on the line."""\n'
+            "x = 1  # domain: raw\n"
             "y = 2  # domain: florps\n"
         )
         ann = ModuleAnnotations(src)
         assert ann.value_at(1) is None  # docstring prose is not an annotation
-        assert ann.value_at(2) == MONT
+        assert ann.value_at(2) == RAW
         assert ann.bad_lines == [3]
 
     def test_for_def_spans_multiline_signature(self):
         src = (
             "def f(a,\n"
-            "      b):  # domain: (mont, mont) -> mont\n"
+            "      b):  # domain: (raw, raw) -> raw\n"
             "    return a\n"
         )
         node = ast.parse(src).body[0]
-        sig, kernel = ModuleAnnotations(src).for_def(node)
-        assert sig == Sig((MONT, MONT), MONT)
-        assert kernel is False
-
-    def test_for_def_kernel(self):
-        src = "def f(p):  # domain: kernel(mont)\n    return p\n"
-        node = ast.parse(src).body[0]
-        sig, kernel = ModuleAnnotations(src).for_def(node)
-        assert sig is None
-        assert kernel is True
+        assert ModuleAnnotations(src).for_def(node) == Sig((RAW, RAW), RAW)
 
     def test_bad_annotation_is_a_warning_finding(self):
         (f,) = analyze_source("x = 1  # domain: florps\n", "engine/demo.py")
@@ -174,11 +159,6 @@ def fixture_checks(findings, fname):
 
 
 class TestMixingFixtures:
-    def test_mont_into_canonical(self, fixture_findings):
-        assert fixture_checks(
-            fixture_findings, "mix_mont_into_canonical.py"
-        ) == {"mont-into-canonical"}
-
     def test_escaped_raw_tuple(self, fixture_findings):
         assert fixture_checks(
             fixture_findings, "escape_raw_tuple.py"
@@ -208,46 +188,6 @@ class TestMixingFixtures:
 
 
 class TestInference:
-    def test_reducer_factory_tracks_modulus(self):
-        # the ECDSA shape: a reducer built over n yields mod-n scalars
-        src = (
-            "from repro.field.montgomery import wide_reducer as _wr\n\n"
-            "def verify(h, w, n):\n"
-            "    red = _wr(n)\n"
-            "    u1 = red(h * w)\n"
-            "    return u1 % n\n"
-        )
-        assert analyze_source(src, "sig/demo.py") == []
-
-    def test_mont_into_reducer_flagged(self):
-        src = (
-            "def f(x, n):\n"
-            "    xm = to_mont(x)\n"
-            "    red = wide_reducer(n)\n"
-            "    return red(xm)\n"
-        )
-        (f,) = analyze_source(src, "sig/demo.py")
-        assert f.check == "mont-into-canonical"
-
-    def test_kernel_annotation_keeps_mod_p_in_mont(self):
-        src = (
-            "def kern(state, p):  # domain: kernel(mont)\n"
-            "    t = redc(state)\n"
-            "    u = t % p\n"
-            "    return from_mont(u)\n"
-        )
-        assert analyze_source(src, "engine/demo.py") == []
-
-    def test_without_kernel_annotation_mod_p_is_canonical(self):
-        src = (
-            "def kern(state, p):\n"
-            "    t = redc(state)\n"
-            "    u = t % p\n"
-            "    return from_mont(u)\n"
-        )
-        (f,) = analyze_source(src, "engine/demo.py")
-        assert f.check == "mont-into-canonical"  # canonical(p) into from_mont
-
     def test_mod_n_on_mod_p_value_is_legitimate_transfer(self):
         # r = pt.x % n is ECDSA's sanctioned domain crossing
         src = (
@@ -257,34 +197,34 @@ class TestInference:
         )
         assert analyze_source(src, "sig/demo.py") == []
 
-    def test_mont_flows_through_containers_and_loops(self):
+    def test_raw_flows_through_loops(self):
         src = (
-            "def f(acc, xs, n):\n"
+            "def f(acc, xs):\n"
             "    for x in xs:\n"
-            "        acc = mont_mul(acc, to_mont(x))\n"
-            "    return acc % n\n"
+            "        acc = _add6(acc, _m6(x, x))\n"
+            "    return acc\n"
         )
-        (f,) = analyze_source(src, "engine/demo.py")
-        assert f.check == "mont-into-canonical"
+        (f,) = analyze_source(src, "pairing/demo.py")
+        assert f.check == "raw-tuple-escape"
 
     def test_subscript_is_transparent(self):
         src = (
-            "def f(c, a, q):\n"
-            "    xs = [to_mont(a)]\n"
-            "    return jac_add(c, xs[0], q)\n"
+            "def f(a, b, q):\n"
+            "    xs = [_m2(a, b)]\n"
+            "    return fq2_raw(xs[0], q)\n"
         )
-        (f,) = analyze_source(src, "ec/demo.py")
-        assert f.check == "mont-into-canonical"
+        (f,) = analyze_source(src, "pairing/demo.py")
+        assert f.check == "raw-tuple-escape"
 
     def test_divergent_branches_join_to_top(self):
         # a conservative join must NOT produce a false positive
         src = (
             "def f(a, flag, n):\n"
             "    if flag:\n"
-            "        x = to_mont(a)\n"
+            "        x = _m2(a, a)\n"
             "    else:\n"
             "        x = a % n\n"
-            "    return from_mont(x)\n"
+            "    return fq2_raw(x, x)\n"
         )
         assert analyze_source(src, "engine/demo.py") == []
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro import errors
 from repro.ec import BN254_G1, TOY29
 from repro.ec.curves import BN254_R
-from repro.ec.msm import FixedBaseTable
+from repro.engine.tables import FixedBaseTable
 from repro.field import PrimeField
 from repro.gadgets.bits import alloc_bytes
 from repro.gadgets.strings import condshift_right, place_at_dynamic

@@ -1,48 +1,37 @@
-"""Montgomery/Barrett backend: contexts, calibration, and the parity suite.
+"""Canonical-path regression cases first written as Montgomery parity checks.
 
-The representation contract is bit-identity: whatever backend calibration
-(or a forced override) selects, every kernel must produce exactly the
-integers the canonical ``%``-based path produces — same Jacobian tuples,
-same FFT outputs, same proof bytes.  These tests pin that contract at
-every level: raw REDC/Barrett ops, the Jacobian point kernels, the MSM
-bucket reducer, the NTT butterflies, and an end-to-end Groth16 prove.
+The field once had a second, Montgomery representation, and these cases
+compared it with the canonical ``%``-based path.  That representation is
+gone; every kernel runs the canonical path.  The cases keep their names
+and inputs and now pin the canonical side against an independent
+reference: affine point arithmetic for the Jacobian kernels, the naive
+``msm_reference`` for the bucket MSM, the uncached ``groth16.fft`` for the
+cached NTT, per-element ``pow`` for batch inversion, and a second prove
+for proof bytes.
 """
 
-import pickle
 import random
 
 import pytest
 
 from repro.ec.curve import (
     JAC_INFINITY,
+    Point,
     jac_add,
     jac_add_affine,
-    jac_add_affine_mont,
-    jac_add_mont,
     jac_double,
-    jac_double_mont,
-    jac_from_mont,
     jac_to_affine,
-    jac_to_mont,
 )
 from repro.ec.curves import BN254_G1, BN254_R
 from repro.engine.fft import cached_coset_fft, cached_fft, cached_ifft, domain_root
 from repro.engine.group import JacobianGroup
 from repro.engine.msm import msm_generic, msm_reference
 from repro.errors import FieldError
-from repro.field import (
-    BarrettContext,
-    FieldBackend,
-    MontgomeryContext,
-    PrimeField,
-    backend_for,
-    force_backend,
-    wide_reducer,
-)
-from repro.field.montgomery import _backends
+from repro.field import PrimeField
+from repro.groth16.fft import coset_fft, fft
 
 P = BN254_G1.field.p
-CTX = MontgomeryContext(P)
+FIELD = PrimeField(P)
 RNG = random.Random(0xA1B2)
 
 
@@ -50,183 +39,40 @@ def rand_elems(n, p=P):
     return [RNG.randrange(1, p) for _ in range(n)]
 
 
-class TestMontgomeryContext:
-    def test_constants(self):
-        assert CTX.k == P.bit_length() + 16
-        assert CTX.r == 1 << CTX.k
-        assert CTX.r1 == CTX.r % P
-        assert CTX.r2 == CTX.r1 * CTX.r1 % P
-        # n' * p = -1 mod R
-        assert (CTX.n_prime * P + 1) % CTX.r == 0
-
-    def test_even_modulus_raises(self):
-        with pytest.raises(FieldError):
-            MontgomeryContext(16)
-        with pytest.raises(FieldError):
-            MontgomeryContext(1)
-
-    def test_round_trip(self):
-        for x in rand_elems(50) + [0, 1, P - 1]:
-            assert CTX.from_mont(CTX.to_mont(x)) == x
-
-    def test_to_mont_reduces_wide_input(self):
-        assert CTX.to_mont(P + 5) == CTX.to_mont(5)
-        assert CTX.from_mont(CTX.to_mont(3 * P + 2)) == 2
-
-    def test_one(self):
-        assert CTX.one() == CTX.to_mont(1)
-        assert CTX.from_mont(CTX.one()) == 1
-
-    def test_mont_mul_matches_native(self):
-        for a, b in zip(rand_elems(60), rand_elems(60)):
-            am, bm = CTX.to_mont(a), CTX.to_mont(b)
-            got = CTX.from_mont(CTX.mont_mul(am, bm))
-            assert got == a * b % P
-
-    def test_mont_sqr_matches_native(self):
-        for a in rand_elems(40):
-            am = CTX.to_mont(a)
-            assert CTX.from_mont(CTX.mont_sqr(am)) == a * a % P
-
-    def test_mont_mul_output_canonical(self):
-        for a, b in zip(rand_elems(30), rand_elems(30)):
-            u = CTX.mont_mul(CTX.to_mont(a), CTX.to_mont(b))
-            assert 0 <= u < P
-
-    def test_redc_signed(self):
-        # kernels feed REDC differences that may be negative
-        for a, b in zip(rand_elems(30), rand_elems(30)):
-            am, bm = CTX.to_mont(a), CTX.to_mont(b)
-            pos = CTX.redc(am * bm)
-            neg = CTX.redc(-(am * bm))
-            assert neg == (P - pos) % P
-
-    def test_redc_is_rinv_mul(self):
-        r_inv = pow(CTX.r, -1, P)
-        for t in rand_elems(20):
-            assert CTX.redc(t) == t * r_inv % P
-
-    def test_small_modulus_exhaustive(self):
-        ctx = MontgomeryContext(29)
-        for a in range(29):
-            for b in range(29):
-                am, bm = ctx.to_mont(a), ctx.to_mont(b)
-                assert ctx.from_mont(ctx.mont_mul(am, bm)) == a * b % 29
+def _affine(pt):
+    """The affine class of a Jacobian tuple, as a curve Point."""
+    return Point.from_jacobian(BN254_G1, pt)
 
 
 class TestMontInverse:
     def test_mont_inv(self):
         for a in rand_elems(25):
-            am = CTX.to_mont(a)
-            inv_m = CTX.mont_inv(am)
-            assert CTX.mont_mul(am, inv_m) == CTX.one()
-            assert CTX.from_mont(inv_m) == pow(a, -1, P)
+            inv = FIELD.inv(a)
+            assert a * inv % P == 1
+            assert inv == pow(a, -1, P)
+        # a non-canonical input inverts like its residue
+        assert FIELD.inv(P + 7) == pow(7, -1, P)
 
     def test_mont_inv_zero_raises(self):
         with pytest.raises(FieldError):
-            CTX.mont_inv(0)
+            FIELD.inv(0)
+        with pytest.raises(FieldError):
+            FIELD.inv(P)
 
     def test_batch_inverse_matches_prime_field(self):
-        field = PrimeField(P)
         xs = rand_elems(17)
-        xms = [CTX.to_mont(x) for x in xs]
-        got = [CTX.from_mont(v) for v in CTX.mont_batch_inverse(xms)]
-        assert got == field.batch_inverse(xs)
+        assert FIELD.batch_inverse(xs) == [FIELD.inv(x) for x in xs]
+        assert FIELD.batch_inverse(xs) == [pow(x, -1, P) for x in xs]
 
     def test_batch_inverse_zero_index(self):
-        xms = [CTX.to_mont(x) for x in (3, 5)]
         with pytest.raises(FieldError, match="index 1"):
-            CTX.mont_batch_inverse([xms[0], 0, xms[1]])
+            FIELD.batch_inverse([3, 0, 5])
+        # a multiple of p is a zero element too
+        with pytest.raises(FieldError, match="index 1"):
+            FIELD.batch_inverse([3, P, 5])
 
     def test_batch_inverse_empty(self):
-        assert CTX.mont_batch_inverse([]) == []
-
-
-class TestBarrett:
-    BAR = BarrettContext(P)
-
-    def test_reduce_matches_native(self):
-        for a, b in zip(rand_elems(50), rand_elems(50)):
-            t = a * b
-            assert self.BAR.reduce(t) == t % P
-            assert self.BAR.mul(a, b) == a * b % P
-
-    def test_reduce_negative(self):
-        for a, b in zip(rand_elems(30), rand_elems(30)):
-            t = a * b
-            assert self.BAR.reduce(-t) == (-t) % P
-        assert self.BAR.reduce(-1) == P - 1
-
-    def test_reduce_lazy_width(self):
-        # the shift is sized for a small multiple of p^2 (lazy tower sums)
-        for a, b in zip(rand_elems(20), rand_elems(20)):
-            t = 5 * a * b
-            assert self.BAR.reduce(t) == t % P
-
-    def test_reduce_edges(self):
-        for t in (0, 1, P - 1, P, P + 1, 2 * P, P * P - 1):
-            assert self.BAR.reduce(t) == t % P
-            assert self.BAR.reduce(-t) == (-t) % P
-
-    def test_small_modulus_raises(self):
-        with pytest.raises(FieldError):
-            BarrettContext(1)
-
-
-class TestBackendSelection:
-    def test_backend_memoized(self):
-        assert backend_for(P) is backend_for(P)
-
-    def test_backend_kinds_valid(self):
-        backend = backend_for(P)
-        assert backend.mul_kind in ("native", "montgomery")
-        assert backend.wide_kind in ("native", "barrett")
-
-    def test_wide_reducer_is_canonicalizing(self):
-        rw = wide_reducer(P)
-        for a, b in zip(rand_elems(20), rand_elems(20)):
-            assert rw(a * b) == a * b % P
-        assert rw(-5) == P - 5
-
-    def test_env_override(self, monkeypatch):
-        q = 2 ** 61 - 1  # a modulus no other test calibrates
-        try:
-            monkeypatch.setenv("REPRO_FIELD_BACKEND", "montgomery")
-            assert backend_for(q).mul_kind == "montgomery"
-            del _backends[q]
-            monkeypatch.setenv("REPRO_FIELD_BACKEND", "barrett")
-            assert backend_for(q).wide_kind == "barrett"
-            del _backends[q]
-            monkeypatch.setenv("REPRO_FIELD_BACKEND", "native")
-            b = backend_for(q)
-            assert (b.mul_kind, b.wide_kind) == ("native", "native")
-        finally:
-            _backends.pop(q, None)
-
-    def test_force_backend_restores(self):
-        before = backend_for(P)
-        with force_backend(P, mul_kind="montgomery") as forced:
-            assert backend_for(P) is forced
-            assert backend_for(P).mul_kind == "montgomery"
-        assert backend_for(P) is before
-
-    def test_force_backend_restores_absent_entry(self):
-        q = 2 ** 89 - 1
-        _backends.pop(q, None)
-        with force_backend(q, mul_kind="montgomery"):
-            assert backend_for(q).mul_kind == "montgomery"
-        assert q not in _backends
-
-    def test_force_backend_rejects_bad_kinds(self):
-        with pytest.raises(ValueError):
-            force_backend(P, mul_kind="barrett")
-        with pytest.raises(ValueError):
-            force_backend(P, wide_kind="montgomery")
-
-    def test_field_backend_contexts_lazy(self):
-        backend = FieldBackend(P, "native", "native")
-        assert backend.mont.p == P
-        assert backend.barrett.p == P
+        assert FIELD.batch_inverse([]) == []
 
 
 def jac_rand_points(n):
@@ -241,80 +87,59 @@ def jac_rand_points(n):
 
 
 class TestJacKernelParity:
-    """The *_mont point kernels mirror the canonical formulas step for
-    step, so the output tuples (not just the affine classes) match."""
+    """The Jacobian point kernels on arbitrary-Z inputs agree with affine
+    point arithmetic, including the branches that special-case equal,
+    opposite and infinite operands."""
 
     def test_double_parity(self):
-        a_m = CTX.to_mont(BN254_G1.a)
         for pt in jac_rand_points(12):
-            want = jac_double(BN254_G1, pt)
-            got = jac_from_mont(CTX, jac_double_mont(CTX, a_m, jac_to_mont(CTX, pt)))
-            assert got == want
+            assert _affine(jac_double(BN254_G1, pt)) == _affine(pt).double()
 
     def test_add_parity(self):
-        a_m = CTX.to_mont(BN254_G1.a)
         pts = jac_rand_points(12)
         for p1, p2 in zip(pts, pts[1:]):
-            want = jac_add(BN254_G1, p1, p2)
-            got = jac_from_mont(
-                CTX,
-                jac_add_mont(CTX, a_m, jac_to_mont(CTX, p1), jac_to_mont(CTX, p2)),
-            )
-            assert got == want
+            assert _affine(jac_add(BN254_G1, p1, p2)) == _affine(p1) + _affine(p2)
 
     def test_add_affine_parity(self):
-        a_m = CTX.to_mont(BN254_G1.a)
         pts = jac_rand_points(10)
         for p1, p2 in zip(pts, pts[1:]):
             aff = jac_to_affine(BN254_G1, p2)
-            aff_m = (CTX.to_mont(aff[0]), CTX.to_mont(aff[1]))
-            want = jac_add_affine(BN254_G1, p1, aff)
-            got = jac_from_mont(
-                CTX, jac_add_affine_mont(CTX, a_m, jac_to_mont(CTX, p1), aff_m)
-            )
-            assert got == want
+            got = jac_add_affine(BN254_G1, p1, aff)
+            assert _affine(got) == _affine(p1) + _affine(p2)
+            # the mixed add matches the full add on the same operands
+            assert _affine(got) == _affine(jac_add(BN254_G1, p1, p2))
 
     def test_chain_parity(self):
-        # a long mixed double/add chain keeps the representations in sync
-        a_m = CTX.to_mont(BN254_G1.a)
+        # a long mixed double/add chain stays on the affine class
         pts = jac_rand_points(6)
-        acc_c = JAC_INFINITY
-        acc_m = jac_to_mont(CTX, JAC_INFINITY)
+        acc = JAC_INFINITY
+        want = BN254_G1.infinity
         for i, pt in enumerate(pts * 3):
             if i % 2:
-                acc_c = jac_double(BN254_G1, acc_c)
-                acc_m = jac_double_mont(CTX, a_m, acc_m)
-            acc_c = jac_add(BN254_G1, acc_c, pt)
-            acc_m = jac_add_mont(CTX, a_m, acc_m, jac_to_mont(CTX, pt))
-            assert jac_from_mont(CTX, acc_m) == acc_c
+                acc = jac_double(BN254_G1, acc)
+                want = want.double()
+            acc = jac_add(BN254_G1, acc, pt)
+            want = want + _affine(pt)
+            assert _affine(acc) == want
 
     def test_special_cases(self):
-        a_m = CTX.to_mont(BN254_G1.a)
         pt = jac_rand_points(1)[0]
-        pt_m = jac_to_mont(CTX, pt)
-        inf_m = jac_to_mont(CTX, JAC_INFINITY)
         # infinity handling
-        assert jac_from_mont(CTX, jac_add_mont(CTX, a_m, inf_m, pt_m)) == \
-            jac_add(BN254_G1, JAC_INFINITY, pt)
-        assert jac_from_mont(CTX, jac_add_mont(CTX, a_m, pt_m, inf_m)) == \
-            jac_add(BN254_G1, pt, JAC_INFINITY)
-        assert jac_double_mont(CTX, a_m, inf_m) == JAC_INFINITY
+        assert jac_add(BN254_G1, JAC_INFINITY, pt) == pt
+        assert jac_add(BN254_G1, pt, JAC_INFINITY) == pt
+        assert jac_double(BN254_G1, JAC_INFINITY) == JAC_INFINITY
         # P + P routes through the doubling branch
-        assert jac_from_mont(CTX, jac_add_mont(CTX, a_m, pt_m, pt_m)) == \
-            jac_add(BN254_G1, pt, pt)
+        assert jac_add(BN254_G1, pt, pt) == jac_double(BN254_G1, pt)
         # P + (-P) cancels to infinity
         neg = (pt[0], (-pt[1]) % P, pt[2])
-        got = jac_add_mont(CTX, a_m, pt_m, jac_to_mont(CTX, neg))
-        assert got == JAC_INFINITY
-        # mixed add onto an infinity accumulator lifts with Z = R mod p
+        assert jac_add(BN254_G1, pt, neg) == JAC_INFINITY
+        # mixed add onto an infinity accumulator lifts with Z = 1
         aff = jac_to_affine(BN254_G1, pt)
-        aff_m = (CTX.to_mont(aff[0]), CTX.to_mont(aff[1]))
-        lifted = jac_add_affine_mont(CTX, a_m, inf_m, aff_m)
-        assert jac_from_mont(CTX, lifted) == (aff[0], aff[1], 1)
-
-    def test_to_from_mont_infinity(self):
-        assert jac_to_mont(CTX, JAC_INFINITY) == JAC_INFINITY
-        assert jac_from_mont(CTX, JAC_INFINITY) == JAC_INFINITY
+        assert jac_add_affine(BN254_G1, JAC_INFINITY, aff) == (aff[0], aff[1], 1)
+        # mixed P + P and P + (-P)
+        assert _affine(jac_add_affine(BN254_G1, pt, aff)) == _affine(pt).double()
+        neg_aff = (aff[0], (-aff[1]) % P)
+        assert jac_add_affine(BN254_G1, pt, neg_aff) == JAC_INFINITY
 
 
 def _msm_workload(seed, n):
@@ -328,63 +153,43 @@ def _msm_workload(seed, n):
     return bases, scalars
 
 
+def _naive_msm(bases, scalars):
+    acc = BN254_G1.infinity
+    for (x, y), k in zip(bases, scalars):
+        acc = acc + k * BN254_G1.point(x, y)
+    return acc
+
+
 class TestMontgomeryGroup:
-    def test_rep_validation(self):
-        with pytest.raises(ValueError):
-            JacobianGroup(BN254_G1, rep="redc")
+    """The bucket MSM on the Jacobian group against the naive reference."""
 
-    def test_auto_resolves(self):
-        with force_backend(P, mul_kind="montgomery"):
-            assert JacobianGroup(BN254_G1, rep="auto").kind == "mont"
-        with force_backend(P, mul_kind="native"):
-            assert JacobianGroup(BN254_G1, rep="auto").kind == "canonical"
-
-    def test_canonical_of(self):
-        mont = JacobianGroup(BN254_G1, rep="mont")
-        assert mont.canonical().kind == "canonical"
-        canon = JacobianGroup(BN254_G1, rep="canonical")
-        assert canon.canonical() is canon
+    GROUP = JacobianGroup(BN254_G1)
 
     def test_msm_parity(self):
-        canon = JacobianGroup(BN254_G1, rep="canonical")
-        mont = JacobianGroup(BN254_G1, rep="mont")
         for seed, n in ((11, 1), (22, 33), (33, 120)):
             bases, scalars = _msm_workload(seed, n)
-            want = msm_generic(canon, bases, scalars)
-            got = msm_generic(mont, bases, scalars)
-            assert got == want  # identical Jacobian tuples, not just class
+            want = msm_reference(self.GROUP, bases, scalars)
+            got = msm_generic(self.GROUP, bases, scalars)
+            assert _affine(got) == _affine(want)
 
     def test_msm_bucket_collisions(self):
         # duplicate bases (P + P in a bucket) and negated pairs (P + -P)
-        canon = JacobianGroup(BN254_G1, rep="canonical")
-        mont = JacobianGroup(BN254_G1, rep="mont")
         bases, _ = _msm_workload(77, 8)
         bases = bases + bases + [(x, (-y) % P) for x, y in bases[:4]]
         k = 0x1F2F3F4F
         scalars = [k] * len(bases)
-        want = msm_generic(canon, bases, scalars)
-        assert msm_generic(mont, bases, scalars) == want
+        want = _naive_msm(bases, scalars)
+        assert _affine(msm_generic(self.GROUP, bases, scalars)) == want
+        assert _affine(msm_reference(self.GROUP, bases, scalars)) == want
 
     def test_msm_edge_scalars(self):
-        canon = JacobianGroup(BN254_G1, rep="canonical")
-        mont = JacobianGroup(BN254_G1, rep="mont")
         bases, _ = _msm_workload(55, 4)
         for scalars in ([0, 0, 0, 0], [1, 0, BN254_G1.order - 1, 2]):
-            assert msm_generic(mont, bases, scalars) == \
-                msm_generic(canon, bases, scalars)
-
-    def test_msm_reference_safe_with_mont_group(self):
-        # msm_reference predates the representation split: it must route
-        # through group.canonical() rather than misread canonical bases
-        mont = JacobianGroup(BN254_G1, rep="mont")
-        canon = JacobianGroup(BN254_G1, rep="canonical")
-        bases, scalars = _msm_workload(66, 16)
-        assert msm_reference(mont, bases, scalars) == \
-            msm_reference(canon, bases, scalars)
+            want = _naive_msm(bases, scalars)
+            assert _affine(msm_generic(self.GROUP, bases, scalars)) == want
+            assert _affine(msm_reference(self.GROUP, bases, scalars)) == want
 
     def test_reduce_buckets_parity(self):
-        canon = JacobianGroup(BN254_G1, rep="canonical")
-        mont = JacobianGroup(BN254_G1, rep="mont")
         bases, _ = _msm_workload(88, 6)
         neg = (bases[0][0], (-bases[0][1]) % P)
         bucket_lists = [
@@ -394,36 +199,18 @@ class TestMontgomeryGroup:
             [bases[0], neg],          # cancellation -> None
             bases[3:] + [bases[3]],
         ]
-        want = canon.reduce_buckets(bucket_lists)
-        mont_in = [
-            [(CTX.to_mont(x), CTX.to_mont(y)) for x, y in lst]
-            for lst in bucket_lists
-        ]
-        got = [
-            None if out is None else (CTX.from_mont(out[0]), CTX.from_mont(out[1]))
-            for out in mont.reduce_buckets(mont_in)
-        ]
-        assert got == want
-
-    def test_enter_exit_kernel(self):
-        mont = JacobianGroup(BN254_G1, rep="mont")
-        bases, _ = _msm_workload(99, 5)
-        inside = mont.enter_kernel(bases)
-        assert inside != bases
-        back = [(CTX.from_mont(x), CTX.from_mont(y)) for x, y in inside]
-        assert back == bases
-        assert mont.exit_kernel(JAC_INFINITY) == JAC_INFINITY
-
-    def test_pickle_carries_resolved_kind(self):
-        mont = JacobianGroup(BN254_G1, rep="mont")
-        clone = pickle.loads(pickle.dumps(mont))
-        assert clone.kind == "mont"
-        bases, scalars = _msm_workload(44, 12)
-        assert msm_generic(clone, bases, scalars) == \
-            msm_generic(mont, bases, scalars)
+        want = []
+        for lst in bucket_lists:
+            total = BN254_G1.infinity
+            for x, y in lst:
+                total = total + BN254_G1.point(x, y)
+            want.append(None if total.is_infinity else (total.x, total.y))
+        assert self.GROUP.reduce_buckets(bucket_lists) == want
 
 
 class TestFFTParity:
+    """The cached NTT against the uncached reference transform."""
+
     def _values(self, n, seed=5):
         rng = random.Random(seed)
         return [rng.randrange(0, BN254_R) for _ in range(n)]
@@ -432,59 +219,30 @@ class TestFFTParity:
         for n in (2, 8, 64):
             values = self._values(n)
             omega = domain_root(n)
-            want = cached_fft(list(values), omega)
-            with force_backend(BN254_R, mul_kind="montgomery"):
-                got = cached_fft(list(values), omega)
-            assert got == want
+            assert cached_fft(list(values), omega) == fft(list(values), omega)
 
     def test_ifft_round_trip_forced(self):
         values = self._values(32)
         omega = domain_root(32)
-        with force_backend(BN254_R, mul_kind="montgomery"):
-            assert cached_ifft(cached_fft(list(values), omega), omega) == values
+        assert cached_ifft(cached_fft(list(values), omega), omega) == values
 
     def test_coset_fft_parity(self):
         values = self._values(16, seed=6)
         omega = domain_root(16)
-        want = cached_coset_fft(list(values), omega)
-        with force_backend(BN254_R, mul_kind="montgomery"):
-            got = cached_coset_fft(list(values), omega)
-        assert got == want
+        want = coset_fft(list(values), omega)
+        assert cached_coset_fft(list(values), omega) == want
 
     def test_fft_handles_unreduced_inputs(self):
         values = self._values(8, seed=7)
         wide = [v + BN254_R for v in values]
         omega = domain_root(8)
-        want = cached_fft(list(wide), omega)
-        with force_backend(BN254_R, mul_kind="montgomery"):
-            got = cached_fft(list(wide), omega)
-        assert got == want
-
-
-class TestCounters:
-    def test_mont_ops_counted(self):
-        from repro.field.montgomery import MONT_MULS, REDC_CALLS
-
-        muls0 = MONT_MULS.snapshot()
-        redc0 = REDC_CALLS.snapshot()
-        CTX.mont_mul(CTX.one(), CTX.one())
-        CTX.redc(1)
-        assert MONT_MULS.snapshot() == muls0 + 1
-        assert REDC_CALLS.snapshot() == redc0 + 1
-
-    def test_kernels_bulk_count(self):
-        from repro.field.montgomery import MONT_MULS
-
-        a_m = CTX.to_mont(BN254_G1.a)
-        pt_m = jac_to_mont(CTX, jac_rand_points(1)[0])
-        before = MONT_MULS.snapshot()
-        jac_double_mont(CTX, a_m, pt_m)
-        assert MONT_MULS.snapshot() - before == 10
+        want = fft(list(values), omega)
+        assert cached_fft(list(wide), omega) == want
 
 
 class TestEndToEndParity:
-    """Identical proof bytes and verdicts with Montgomery kernels forced
-    on both the base field (point kernels) and the scalar field (NTT)."""
+    """Identical proof bytes and verdicts across two proves of one
+    statement with the same keys and blinding randomness."""
 
     def _prove_bytes(self):
         from repro.groth16 import is_valid, proof_to_bytes, prove
@@ -515,8 +273,6 @@ class TestEndToEndParity:
         return TestEndToEndParity._cached_keys
 
     def test_proof_bytes_identical(self):
-        native = self._prove_bytes()
-        with force_backend(P, mul_kind="montgomery"):
-            with force_backend(BN254_R, mul_kind="montgomery"):
-                forced = self._prove_bytes()
-        assert forced == native
+        first = self._prove_bytes()
+        second = self._prove_bytes()
+        assert second == first

@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.ec.curve import Point
-from repro.ec.curves import TOY29, curve_by_name
+from repro.ec.curves import BN254_G1, TOY29, curve_by_name
 from repro.engine import Engine, EngineConfig
 from repro.engine.group import JacobianGroup, OperatorGroup
 from repro.engine.msm import msm_generic, msm_reference
@@ -81,22 +81,26 @@ def test_g2_matches_golden(case, kernel):
 
 def test_bucket_special_cases():
     """Batched-affine buckets hit P+P and P+(-P) without losing exactness."""
-    curve = TOY29
-    g = curve.generator
-    p = curve.field.p
-    pts = [g, g, g, -g, 2 * g, -(2 * g), 3 * g]
-    bases = [(pt.x, pt.y) for pt in pts]
-    # equal scalars force every point into the same bucket per window
-    for scalars in ([5] * 7, [1] * 7, [curve.order - 1] * 7,
-                    [3, 3, 3, 3, 7, 7, 7]):
-        want = curve.infinity
-        for pt, k in zip(pts, scalars):
-            want = want + k * pt
-        got = Point.from_jacobian(
-            curve, msm_generic(JacobianGroup(curve), bases, list(scalars))
-        )
-        assert got == want
-    assert p  # silence unused warnings on minimal configs
+    for curve in (TOY29, BN254_G1):
+        g = curve.generator
+        pts = [g, g, g, -g, 2 * g, -(2 * g), 3 * g]
+        bases = [(pt.x, pt.y) for pt in pts]
+        group = JacobianGroup(curve)
+        # equal scalars force every point into the same bucket per window;
+        # the last two rows are edge scalars (all zero; 1, 0, n - 1 mixed)
+        for scalars in ([5] * 7, [1] * 7, [curve.order - 1] * 7,
+                        [3, 3, 3, 3, 7, 7, 7], [0x1F2F3F4F] * 7, [0] * 7,
+                        [1, 0, curve.order - 1, 2, 0, 0, 0]):
+            want = curve.infinity
+            for pt, k in zip(pts, scalars):
+                want = want + k * pt
+            for kernel in (msm_generic, msm_reference):
+                got = kernel(group, bases, list(scalars))
+                assert Point.from_jacobian(curve, got) == want
+        # one reduction round: empty -> None, doubling, cancellation -> None
+        b1, neg = bases[0], bases[3]
+        two = ((2 * g).x, (2 * g).y)
+        assert group.reduce_buckets([[], [b1, b1], [b1, neg]]) == [None, two, None]
 
 
 def test_serial_parallel_parity():

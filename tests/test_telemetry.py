@@ -519,7 +519,7 @@ class TestExporterEscaping:
                 else:
                     reg.counter(name).inc(len(name))
 
-        names = ["msm.calls", "field.mont_muls", "fft.size", "r1cs.rows"]
+        names = ["msm.calls", "msm.bucket_adds", "fft.size", "r1cs.rows"]
         forward, backward = MetricsRegistry(), MetricsRegistry()
         populate(forward, names)
         populate(backward, list(reversed(names)))

@@ -1,5 +1,6 @@
 """Tests for ASN.1/DER, certificates, CSRs, SAN proof encoding, validation."""
 
+import random
 import secrets
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import TOY29
-from repro.errors import CertificateError, EncodingError
+from repro.errors import CertificateError, EncodingError, ReproError
 from repro.sig import EcdsaPrivateKey
 from repro.x509 import (
     Certificate,
@@ -132,6 +133,25 @@ class TestCertificate:
         assert parsed.not_before == leaf.not_before
         assert parsed.tls_key_bytes == leaf.tls_key_bytes
         parsed.verify_signature(CA_KEY.public_key)
+
+    def test_mutated_der_parses_or_raises_repro_error(self):
+        # untrusted DER either decodes or raises a ReproError subclass:
+        # bad UTF-8 names, non-ASCII or malformed UTCTime must not leak
+        # UnicodeDecodeError / ValueError
+        der = make_leaf(make_ca_cert(), CA_KEY).to_der()
+        rng = random.Random(7)
+        for _ in range(3000):
+            buf = bytearray(der)
+            for _ in range(rng.randint(1, 4)):
+                buf[rng.randrange(len(buf))] = rng.randrange(256)
+            try:
+                parsed = Certificate.from_der(bytes(buf))
+                parsed.san_names()
+                aia = parsed.extension("1.3.6.1.5.5.7.1.1")
+                if aia is not None:
+                    parse_aia_ocsp(aia.value)
+            except ReproError:
+                pass
 
     def test_signature_tamper_detected(self):
         ca = make_ca_cert()
