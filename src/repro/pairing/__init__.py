@@ -3,23 +3,19 @@
 from .ate import (
     G2Prepared,
     final_exponentiation,
-    miller_loop,
-    miller_loop_with_lines,
     multi_miller,
     multi_pairing,
     pairing,
     pairing_check,
     prepare_g2,
 )
-from .bn254 import ATE_LOOP_COUNT, B2, BN254_R, G2Point, G2_GENERATOR, embed_g1, untwist
+from .bn254 import ATE_LOOP_COUNT, B2, BN254_R, G2Point, G2_GENERATOR
 
 __all__ = [
     "pairing",
     "multi_pairing",
     "pairing_check",
-    "miller_loop",
     "multi_miller",
-    "miller_loop_with_lines",
     "prepare_g2",
     "G2Prepared",
     "final_exponentiation",
@@ -28,6 +24,4 @@ __all__ = [
     "ATE_LOOP_COUNT",
     "BN254_R",
     "B2",
-    "embed_g1",
-    "untwist",
 ]

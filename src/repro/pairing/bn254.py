@@ -2,11 +2,12 @@
 
 G2 is the r-order subgroup of the sextic twist E'/Fq2: ``y^2 = x^3 + 3/xi``
 with ``xi = 9 + u``.  Points are affine over Fq2 with operator-based group
-law; the Miller loop (in :mod:`repro.pairing.ate`) maps them into Fq12 via
-the untwist embedding ``(x, y) -> (x * w^2, y * w^3)``.
+law.  The Miller loop (in :mod:`repro.pairing.ate`) keeps them on the
+twist; only its line values are placed into Fq12 slots.
 
 Subgroup membership uses the untwist-Frobenius-twist endomorphism ``psi``
-(:func:`twist_frobenius`): G2 is exactly the set of twist points with
+(``conj(x) * TWIST_FROB_X, conj(y) * TWIST_FROB_Y``): G2 is exactly the set
+of twist points with
 ``[x+1]Q + psi([x]Q) + psi^2([x]Q) == psi^3([2x]Q)`` (El Housni, Guillevic,
 Piellard, "Co-factor clearing and subgroup membership testing on
 pairing-friendly curves").  That costs one 63-bit ladder ``[x]Q`` where the
@@ -16,16 +17,7 @@ projective, so the check performs no inversion.
 """
 
 from ..errors import CurveError
-from ..field.extension import (
-    BN254_P,
-    Fq2,
-    Fq6,
-    Fq12,
-    XI,
-    fq2_raw,
-    fq6_raw,
-    fq12_raw,
-)
+from ..field.extension import BN254_P, Fq2, XI
 
 #: Order of G1 and G2 (the Groth16 scalar field).
 BN254_R = 21888242871839275222246405745257275088548364400416034343698204186575808495617
@@ -44,11 +36,12 @@ B2 = XI.inverse() * 3
 class G2Point:
     """Affine point on the BN254 sextic twist (or infinity: x is None)."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "_subgroup")
 
     def __init__(self, x, y):
         self.x = x
         self.y = y
+        self._subgroup = None  # (coordinates, in_subgroup() answer)
 
     @staticmethod
     def infinity():
@@ -122,17 +115,28 @@ class G2Point:
         return self + self
 
     def in_subgroup(self):
-        """Whether the point lies in the r-order subgroup (the psi test)."""
+        """Whether the point lies in the r-order subgroup (the psi test).
+
+        The answer is kept on the point next to the coordinates it was
+        computed for, so asking again — a decoded proof's B is checked at
+        decode and again by the verifier — costs one tuple comparison.
+        Changed coordinates never reuse a stale answer.
+        """
         if self.is_infinity:
             return True
         q = (self.x.c0, self.x.c1, self.y.c0, self.y.c1)
+        memo = self._subgroup
+        if memo is not None and memo[0] == q:
+            return memo[1]
         xq = _jac_mul_x(q)
         lhs = _jac_add_affine(xq, q)  # [x+1]Q
         psi_xq = _jac_psi(xq)
         lhs = _jac_add(lhs, psi_xq)
         lhs = _jac_add(lhs, _jac_psi(psi_xq))
         rhs = _jac_psi(_jac_psi(_jac_psi(_jac_double(xq))))
-        return _jac_equal(lhs, rhs)
+        result = _jac_equal(lhs, rhs)
+        self._subgroup = (q, result)
+        return result
 
 
 #: Standard G2 generator.
@@ -147,39 +151,6 @@ G2_GENERATOR = G2Point.make(
     ),
 )
 
-# Fq12 constants for the untwist embedding.
-_W2 = Fq12(Fq6(Fq2.zero(), Fq2.one(), Fq2.zero()), Fq6.zero())  # w^2 = v
-_W3 = Fq12(Fq6.zero(), Fq6(Fq2.zero(), Fq2.one(), Fq2.zero()))  # w^3 = v*w
-
-
-def _embed_fq2(x):
-    # x is a canonical Fq2 (point coordinate or tower constant): build the
-    # sparse embedding without re-reducing any limb
-    return fq12_raw(
-        fq6_raw(x, fq2_raw(0, 0), fq2_raw(0, 0)),
-        fq6_raw(fq2_raw(0, 0), fq2_raw(0, 0), fq2_raw(0, 0)),
-    )
-
-
-def embed_fq(x):
-    """Embed a base-field int into Fq12 (``x`` reduced once here)."""
-    return _embed_fq2(Fq2(x, 0))
-
-
-def untwist(pt):
-    """Map a G2 twist point into E(Fq12): (x, y) -> (x w^2, y w^3)."""
-    if pt.is_infinity:
-        return None
-    return (_embed_fq2(pt.x) * _W2, _embed_fq2(pt.y) * _W3)
-
-
-def embed_g1(pt):
-    """Map a BN254 G1 affine Point into E(Fq12) coordinates."""
-    if pt.is_infinity:
-        return None
-    return (embed_fq(pt.x), embed_fq(pt.y))
-
-
 # Frobenius directly on twist coordinates.  Untwisting, applying x -> x^p on
 # E(Fq12), and re-twisting multiplies the Fq2 coordinates by powers of
 # w^(p-1), which collapses to the Fq2 scalar xi^((p-1)/6) because w^6 = xi
@@ -189,13 +160,7 @@ TWIST_FROB_X = _W_FROB.square()
 TWIST_FROB_Y = TWIST_FROB_X * _W_FROB
 
 
-def twist_frobenius(pt):
-    """pi(Q) on twist coordinates: untwist -> Frobenius -> twist, fused."""
-    x, y = pt
-    return (x.conjugate() * TWIST_FROB_X, y.conjugate() * TWIST_FROB_Y)
-
-
-# -- Jacobian twist arithmetic on raw Fq2 pairs (the membership kernel) -------
+# -- raw Fq2 twist arithmetic (the membership kernel, the Miller-loop steps) --
 #
 # A point is (X0, X1, Y0, Y1, Z0, Z1) with x = X/Z^2, y = Y/Z^3 and each
 # Fq2 coordinate split into canonical ints c0 + c1*u; Z == 0 is infinity.
@@ -320,7 +285,7 @@ _PSI_Y = (TWIST_FROB_Y.c0, TWIST_FROB_Y.c1)
 
 
 def _jac_psi(pt):
-    """:func:`twist_frobenius` on Jacobian coordinates.
+    """``psi`` on Jacobian coordinates.
 
     Conjugating Z conjugates Z^2 and Z^3, so the affine map
     ``(conj(x) * cx, conj(y) * cy)`` carries over to

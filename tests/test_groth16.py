@@ -305,6 +305,59 @@ class TestSerialization:
             g2_from_bytes(g2_to_bytes(pt))
 
 
+def _off_subgroup_twist_point(seed):
+    """A seeded point on the twist outside G2."""
+    import random
+
+    from tests.test_pairing import _twist_points
+
+    (pt,) = _twist_points(random.Random(seed), 1)
+    assert not (BN254_R * pt).is_infinity
+    return pt
+
+
+class TestSubgroupCheckOnce:
+    """A decoded proof's B pays the psi membership test once, not twice."""
+
+    def test_decode_then_verify_runs_the_ladder_once(self, keys, monkeypatch):
+        import repro.pairing.bn254 as bn254
+
+        cs, pk, vk, _ = keys
+        data = proof_to_bytes(prove(pk, cs))
+        pvk = prepare(vk)
+        calls = []
+        ladder = bn254._jac_mul_x
+
+        def counting(q):
+            calls.append(q)
+            return ladder(q)
+
+        monkeypatch.setattr(bn254, "_jac_mul_x", counting)
+        verify(pvk, proof_from_bytes(data), cs.public_inputs())
+        assert len(calls) == 1
+
+    def test_verify_refuses_a_built_proof_with_off_subgroup_b(self, keys):
+        cs, pk, vk, _ = keys
+        proof = prove(pk, cs)
+        bad = Proof(proof.a, _off_subgroup_twist_point(41), proof.c)
+        with pytest.raises(ProofError):
+            verify(prepare(vk), bad, cs.public_inputs())
+
+    def test_answer_follows_the_coordinates(self):
+        from repro.pairing.bn254 import G2_GENERATOR
+
+        off = _off_subgroup_twist_point(42)
+        assert not off.in_subgroup()
+        good = 5 * G2_GENERATOR
+        assert good.in_subgroup()
+        # swapping coordinates in either direction never reuses the answer
+        off.x, off.y = good.x, good.y
+        assert off.in_subgroup()
+        bad = _off_subgroup_twist_point(43)
+        good.x, good.y = bad.x, bad.y
+        assert not good.in_subgroup()
+
+
 class TestSimulationBackend:
     def test_sim_roundtrip(self):
         cs = cubic_system(5)
