@@ -214,6 +214,11 @@ class VerificationCache:
 class NopeClient:
     """A TLS client with optional NOPE awareness."""
 
+    #: bound on the seen-nullifier map (VerificationCache's default bound);
+    #: any peer with valid proofs can add entries, so the map must not grow
+    #: without limit
+    MAX_SEEN_NULLIFIERS = 4096
+
     def __init__(self, profile, trust_roots, root_zsk_dnskey=None,
                  statement_keys=None, statements=None, backend=None,
                  pin_store=None, min_scts=1, nope_aware=True,
@@ -234,7 +239,8 @@ class NopeClient:
         self.verification_cache = verification_cache
         #: envelope nullifier -> leaf fingerprint it was first verified
         #: under; the same nullifier under different certificate bytes is
-        #: cross-certificate proof reuse and is refused
+        #: cross-certificate proof reuse and is refused.  Kept in recency
+        #: order and evicted oldest-first past MAX_SEEN_NULLIFIERS.
         self._seen_nullifiers = {}
 
     def register_statement(self, statement, keys):
@@ -341,7 +347,12 @@ class NopeClient:
 
     def _note_nullifier(self, payload, fingerprint):
         if payload is not None and payload.nullifier is not None and fingerprint:
-            self._seen_nullifiers[payload.nullifier] = fingerprint
+            seen = self._seen_nullifiers
+            # re-noting moves the entry to the newest end
+            seen.pop(payload.nullifier, None)
+            seen[payload.nullifier] = fingerprint
+            if len(seen) > self.MAX_SEEN_NULLIFIERS:
+                del seen[next(iter(seen))]
 
     def _cached_report(self, token, fingerprint, domain, leaf, now,
                        ocsp_responder, ocsp_response):

@@ -8,7 +8,7 @@ is 254 bits, so two bits are free); a G2 point is the 64-byte x in Fq2
 These functions are the **body codec** behind ``KIND_GROTH16`` in the
 :mod:`repro.wire` kind registry; everything outside ``repro.wire`` (and
 this package) must go through the registry rather than calling them
-directly — the ``wire-bypass`` hygiene lint rule enforces that boundary.
+directly — the ``wire-escape`` hygiene lint rule enforces that boundary.
 """
 
 from ..ec.curves import BN254_G1

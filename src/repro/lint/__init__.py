@@ -12,14 +12,9 @@ Two analyzers plus a reporting layer, gated in CI:
 * :mod:`repro.lint.hygiene`  — an ``ast``-based crypto-hygiene pass over
   the source tree: no ``random`` in signing/setup paths, no ``==`` on
   digest/MAC bytes, no floats in the arithmetic layers, no bare
-  ``except``, no mutable default arguments; alias-aware.
-* :mod:`repro.lint.domains`  — a value-domain dataflow analyzer: every
-  expression gets a lattice value (canonical mod-p, canonical mod-n,
-  raw tower tuple, wire bytes, nullifier, ...)
-  propagated through assignments, arithmetic, calls, and returns, and
-  mixing representations across a declared boundary is an error.  Facts
-  come from :mod:`repro.lint.domain_facts` plus inline ``# domain:``
-  annotations; also checks worker-pool task purity.
+  ``except``, no mutable default arguments, no raw proof wire primitives
+  outside the wire layers, no lazy-tower raw tuples outside the tower,
+  no worker-pool task that mutates state it does not own; alias-aware.
 
 Findings are identified by stable keys and compared against a checked-in
 baseline (``baseline.json``) so intentional constructions don't block CI;
@@ -29,7 +24,6 @@ proves and its limits.
 """
 
 from .circuit import audit_system, incidence_stats
-from .domains import analyze_paths, analyze_source, analyze_tree
 from .hygiene import lint_source, lint_tree
 from .registry import GADGET_AUDITS, build_gadget_system
 from .report import (
@@ -44,9 +38,6 @@ from .report import (
 __all__ = [
     "audit_system",
     "incidence_stats",
-    "analyze_paths",
-    "analyze_source",
-    "analyze_tree",
     "lint_source",
     "lint_tree",
     "GADGET_AUDITS",

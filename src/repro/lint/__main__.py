@@ -1,10 +1,9 @@
-"""``python -m repro.lint`` — the CI gate for all three analyzers.
+"""``python -m repro.lint`` — the CI gate for both analyzers.
 
 Targets:
 
-* ``hygiene``   — syntactic AST pass over the ``repro`` source tree.
-* ``domains``   — value-domain dataflow over the source tree (or over
-  explicit ``--path`` files/dirs, e.g. the lint fixtures).
+* ``hygiene``   — syntactic AST pass over the ``repro`` source tree (or
+  over explicit ``--path`` files/dirs, e.g. the lint fixtures).
 * ``gadgets``   — synthesize and audit every registry entry standalone
   (or one, via ``--gadget NAME``).
 * ``statement`` — synthesize the full toy ``S_NOPE`` statement for a
@@ -16,6 +15,8 @@ Targets:
 Exit status is decided against the checked-in baseline: ``--fail-on new``
 (default) fails only on findings whose key is absent from the baseline,
 ``any`` fails on any finding, ``none`` always exits 0 (report-only).
+Stale baseline entries are reported only by the full sweep (``all``):
+a subset run cannot tell a dead entry from another analyzer's.
 ``--json`` prints the report as JSON; ``--json-out PATH`` additionally
 writes it to a file (what CI uploads as the lint artifact).
 """
@@ -25,8 +26,7 @@ import sys
 
 from ..telemetry.clocks import perf as _perf
 from .circuit import DEFAULT_SEED, audit_system
-from .domains import analyze_paths, analyze_tree
-from .hygiene import lint_tree
+from .hygiene import lint_paths, lint_tree
 from .registry import GADGET_AUDITS, build_gadget_system
 from .report import Report, default_baseline_path, load_baseline, save_baseline
 
@@ -93,7 +93,7 @@ def main(argv=None):
         "target",
         nargs="?",
         default="all",
-        choices=("all", "statement", "gadgets", "hygiene", "domains", "baseline"),
+        choices=("all", "statement", "gadgets", "hygiene", "baseline"),
         help="what to audit (default: all)",
     )
     parser.add_argument(
@@ -105,8 +105,8 @@ def main(argv=None):
     parser.add_argument(
         "--path",
         action="append",
-        help="analyze this file/directory instead of the source tree "
-        "(domains target only; repeatable)",
+        help="lint this file/directory instead of the source tree "
+        "(hygiene target only; repeatable)",
     )
     parser.add_argument(
         "--gadget",
@@ -168,19 +168,14 @@ def main(argv=None):
         return _baseline_prune(baseline_path, probe, args.probe_rounds, seed)
     if args.action is not None:
         parser.error("positional action is only valid with the baseline target")
+    if args.path and target != "hygiene":
+        parser.error("--path is only valid with the hygiene target")
 
     findings = []
     if target in ("all", "hygiene"):
         if args.verbose:
             print("linting source tree (hygiene)...", file=sys.stderr)
-        findings.extend(lint_tree())
-    if target in ("all", "domains"):
-        if args.verbose:
-            print("analyzing value domains...", file=sys.stderr)
-        if args.path:
-            findings.extend(analyze_paths(args.path))
-        else:
-            findings.extend(analyze_tree())
+        findings.extend(lint_paths(args.path) if args.path else lint_tree())
     if target in ("all", "gadgets"):
         names = args.gadget or list(GADGET_AUDITS)
         if args.verbose:
@@ -200,7 +195,8 @@ def main(argv=None):
             )
 
     baseline = load_baseline(baseline_path)
-    report = Report(findings, baseline)
+    full_sweep = target == "all"
+    report = Report(findings, baseline, full_sweep)
 
     if args.write_baseline:
         added = 0
@@ -212,7 +208,7 @@ def main(argv=None):
             "baseline: %d new entr%s written to %s (justifications are TODO)"
             % (added, "y" if added == 1 else "ies", baseline_path)
         )
-        report = Report(findings, baseline)
+        report = Report(findings, baseline, full_sweep)
 
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -225,13 +221,12 @@ def main(argv=None):
 def _baseline_prune(baseline_path, probe, probe_rounds, seed):
     """Run every analyzer, then drop baseline keys that no longer fire.
 
-    The full sweep (hygiene + domains + gadgets + statement) is the same
+    The full sweep (hygiene + gadgets + statement) is the same
     set of findings ``all`` gates on, so a pruned entry is genuinely
     dead: nothing in the tree or the audited systems produces its key.
     """
     findings = []
     findings.extend(lint_tree())
-    findings.extend(analyze_tree())
     findings.extend(_gadget_findings(list(GADGET_AUDITS), probe, probe_rounds, seed, False))
     findings.extend(_statement_findings(probe, probe_rounds, seed))
     baseline = load_baseline(baseline_path)

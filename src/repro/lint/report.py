@@ -9,7 +9,9 @@ not shift every downstream key.
 The baseline file maps keys to one-line justifications.  A finding whose
 key is in the baseline is *accepted*; ``--fail-on new`` fails only on
 unaccepted findings.  Baseline entries that no longer match any finding
-are reported as stale (informational) so the file cannot silently rot.
+of a full sweep are reported as stale (informational) so the file cannot
+silently rot; a subset run (one analyzer, or ``--path``) cannot tell a
+dead entry from one another analyzer would match, so it reports none.
 """
 
 import json
@@ -106,12 +108,15 @@ def save_baseline(path, entries):
 class Report:
     """All findings from one lint run, judged against a baseline."""
 
-    def __init__(self, findings, baseline=None):
+    def __init__(self, findings, baseline=None, full_sweep=True):
         self.findings = sorted(
             merge_findings(findings),
             key=lambda f: (SEVERITIES.index(f.severity), f.key),
         )
         self.baseline = dict(baseline or {})
+        #: whether ``findings`` come from every analyzer over everything the
+        #: baseline covers; only then is an unmatched entry stale
+        self.full_sweep = full_sweep
 
     def new_findings(self):
         return [f for f in self.findings if f.key not in self.baseline]
@@ -120,7 +125,10 @@ class Report:
         return [f for f in self.findings if f.key in self.baseline]
 
     def stale_baseline(self):
-        """Baseline keys no longer matching any finding."""
+        """Baseline keys no longer matching any finding (empty for a
+        subset run, which cannot tell)."""
+        if not self.full_sweep:
+            return []
         seen = {f.key for f in self.findings}
         return sorted(k for k in self.baseline if k not in seen)
 
@@ -160,16 +168,15 @@ class Report:
                 "ok  %-7s %-22s %s (x%d)  [baseline: %s]"
                 % (f.severity, f.check, f.where, f.count, self.baseline[f.key])
             )
-        for key in self.stale_baseline():
+        stale = self.stale_baseline()
+        for key in stale:
             lines.append("stale baseline entry (no matching finding): %s" % key)
-        lines.append(
-            "%d finding(s): %d new, %d accepted by baseline, %d stale entr%s"
-            % (
-                len(self.findings),
-                len(new),
-                len(accepted),
-                len(self.stale_baseline()),
-                "y" if len(self.stale_baseline()) == 1 else "ies",
-            )
+        summary = "%d finding(s): %d new, %d accepted by baseline" % (
+            len(self.findings), len(new), len(accepted),
         )
+        if self.full_sweep:
+            summary += ", %d stale entr%s" % (
+                len(stale), "y" if len(stale) == 1 else "ies",
+            )
+        lines.append(summary)
         return "\n".join(lines)

@@ -3,7 +3,7 @@
 Every proof byte that crosses a trust boundary (prover -> CSR -> CA ->
 certificate -> client) travels inside a :class:`ProofEnvelope`; this
 package is the only sanctioned producer/consumer of proof wire bytes
-(the ``wire-bypass`` hygiene lint enforces it).
+(the ``wire-escape`` hygiene lint enforces it).
 """
 
 from .envelope import (

@@ -5,7 +5,7 @@ body-version numbers to parameter profiles, and a body codec.  The Groth16
 codec is :mod:`repro.groth16.serialize` — the 128-byte compressed
 ``A || B || C`` encoding the paper reports in Fig. 7 — registered here so
 that **no module outside repro.wire touches proof wire bytes directly**
-(enforced by the ``wire-bypass`` hygiene lint rule).
+(enforced by the ``wire-escape`` hygiene lint rule).
 
 Versions name profiles, not byte layouts: version 0 is the toy profile,
 version 1 the production profile.  Both use the same 128-byte body today;

@@ -1,8 +1,8 @@
 """Deliberately wrong: lazily-unreduced tower tuples escape the tower.
 
-`_m6` returns double-wide unreduced limb tuples; outside
-`field/extension.py` they must pass through a boundary reducer before
-use, and a function handing them out must declare `-> raw-tuple`.
+`_m6` and `_m2` return double-wide unreduced limb tuples; only the
+boundary reducers of `field/extension.py` may consume them, so no other
+module calls the combinators.
 """
 
 

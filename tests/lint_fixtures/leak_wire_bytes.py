@@ -9,8 +9,3 @@ domain-bound nullifier.
 def smuggle(proof, payload):
     body = proof_to_bytes(proof)
     return body + payload.nullifier
-
-
-def relay(blob):
-    body = blob  # domain: wire-bytes
-    return body

@@ -1,6 +1,8 @@
-"""Tests for repro.lint: auditor fixtures, hygiene rules, baseline gating."""
+"""Tests for repro.lint: auditor fixtures, hygiene rules, pool purity,
+rule fixtures, baseline gating, and the CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -9,20 +11,30 @@ from repro.field import PrimeField
 from repro.gadgets.bits import bit_decompose, is_zero
 from repro.lint import (
     GADGET_AUDITS,
+    Finding,
     Report,
     audit_system,
     build_gadget_system,
     default_baseline_path,
     incidence_stats,
     lint_source,
+    lint_tree,
     load_baseline,
     normalize_label,
+    save_baseline,
 )
+from repro.lint import __main__ as lint_cli
 from repro.lint.__main__ import main as lint_main
+from repro.lint.hygiene import lint_paths
 from repro.r1cs import ConstraintSystem
 from repro.r1cs.compiled import CompiledCircuit
 
 FR = PrimeField(BN254_R)
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "lint_fixtures")
+
+#: the rules the deliberately wrong modules under lint_fixtures/ demonstrate
+FIXTURE_CHECKS = {"raw-tuple-escape", "wire-escape", "impure-pool-task"}
 
 
 def checks(findings):
@@ -288,6 +300,182 @@ class TestHygiene:
         )
         assert lint_source(src, "core/util.py") == []
 
+    def test_wire_layers_are_exempt(self):
+        src = (
+            "def smuggle(proof, payload):\n"
+            "    body = proof_to_bytes(proof)\n"
+            "    return body + payload.nullifier\n"
+        )
+        assert lint_source(src, "wire/demo.py") == []
+        assert checks(lint_source(src, "core/demo.py")) == {"wire-escape"}
+
+    def test_wire_import_flagged_through_alias(self):
+        src = (
+            "from repro.groth16.serialize import proof_from_bytes as pfb\n\n"
+            "def f(blob):\n"
+            "    return pfb(blob)\n"
+        )
+        found = lint_source(src, "core/demo.py")
+        # the import AND the aliased call are both caught
+        assert len(found) == 2
+        assert checks(found) == {"wire-escape"}
+
+    def test_raw_flows_through_loops(self):
+        src = (
+            "def f(acc, xs):\n"
+            "    for x in xs:\n"
+            "        acc = _add6(acc, _m6(x, x))\n"
+            "    return acc\n"
+        )
+        assert checks(lint_source(src, "pairing/demo.py")) == {"raw-tuple-escape"}
+        assert lint_source(src, "field/extension.py") == []
+
+    def test_subscript_is_transparent(self):
+        src = (
+            "def f(a, b, q):\n"
+            "    xs = [_m2(a, b)]\n"
+            "    return fq2_raw(xs[0], q)\n"
+        )
+        assert checks(lint_source(src, "pairing/demo.py")) == {"raw-tuple-escape"}
+        assert lint_source(src, "field/extension.py") == []
+
+    def test_undeclared_raw_return_flagged(self):
+        src = "def f(a, b):\n    return _m2(a, b)\n"
+        (f,) = lint_source(src, "pairing/demo.py")
+        assert f.check == "raw-tuple-escape"
+        assert lint_source(src, "field/extension.py") == []
+
+    def test_raw_combinators_flagged_outside_tower(self):
+        # the unchecked Fq6 limb view, and an aliased import
+        src = (
+            "from repro.field.extension import _xi2 as xi\n\n"
+            "def f(a):\n"
+            "    return xi(*a._raw())\n"
+        )
+        assert checks(lint_source(src, "pairing/demo.py")) == {"raw-tuple-escape"}
+        assert lint_source(src, "field/extension.py") == []
+
+
+# -- worker-pool purity -------------------------------------------------------
+
+
+class TestPoolPurity:
+    def test_pure_task_clean(self):
+        src = (
+            "def task(x):\n"
+            "    y = x * 2\n"
+            "    return y\n\n"
+            "def drive(pool, xs):\n"
+            "    return [pool.submit(task, x) for x in xs]\n"
+        )
+        assert lint_source(src, "engine/demo.py") == []
+
+    def test_global_assignment_flagged(self):
+        src = (
+            "def task(x):\n"
+            "    global _N\n"
+            "    _N = x\n"
+            "    return x\n\n"
+            "def drive(pool, xs):\n"
+            "    return [pool.submit(task, x) for x in xs]\n"
+        )
+        assert checks(lint_source(src, "engine/demo.py")) == {
+            "impure-pool-task"
+        }
+
+    def test_mutator_call_on_module_state_flagged(self):
+        src = (
+            "ACC = []\n\n"
+            "def task(x):\n"
+            "    ACC.append(x)\n"
+            "    return x\n\n"
+            "def drive(pool, xs):\n"
+            "    return [pool.submit(task, x) for x in xs]\n"
+        )
+        assert checks(lint_source(src, "engine/demo.py")) == {
+            "impure-pool-task"
+        }
+
+    def test_delta_wrapper_reaches_the_real_task(self):
+        src = (
+            "CACHE = {}\n\n"
+            "def task(x):\n"
+            "    CACHE[x] = x\n"
+            "    return x\n\n"
+            "def drive(pool, delta, xs):\n"
+            "    return [pool.submit(run_with_delta, task, x) for x in xs]\n"
+        )
+        assert checks(lint_source(src, "engine/demo.py")) == {
+            "impure-pool-task"
+        }
+
+    def test_cross_file_shipped_names(self, tmp_path):
+        # the submit site lives in another module: a tree run collects the
+        # shipped names across every file before linting any of them
+        task = (
+            "CACHE = {}\n\n"
+            "def task(x):\n"
+            "    CACHE[x] = x\n"
+            "    return x\n"
+        )
+        assert lint_source(task, "engine/work.py") == []
+        found = lint_source(task, "engine/work.py", shipped_names={"task"})
+        assert checks(found) == {"impure-pool-task"}
+        engine = tmp_path / "engine"
+        engine.mkdir()
+        (engine / "work.py").write_text(task)
+        (engine / "drive.py").write_text(
+            "def drive(pool, xs):\n"
+            "    return [pool.submit(task, x) for x in xs]\n"
+        )
+        (f,) = lint_tree(str(tmp_path))
+        assert (f.check, f.where) == ("impure-pool-task", "engine/work.py:task")
+
+    def test_telemetry_is_exempt(self):
+        src = (
+            "METRICS = {}\n\n"
+            "def task(x):\n"
+            "    METRICS[x] = x\n"
+            "    return x\n\n"
+            "def drive(pool, xs):\n"
+            "    return [pool.submit(task, x) for x in xs]\n"
+        )
+        assert lint_source(src, "telemetry/demo.py") == []
+
+
+# -- one deliberately wrong module per boundary rule ---------------------------
+
+
+@pytest.fixture(scope="module")
+def fixture_findings():
+    return lint_paths([FIXTURES])
+
+
+def fixture_checks(findings, fname):
+    prefix = "lint_fixtures/%s:" % fname
+    return {f.check for f in findings if f.where.startswith(prefix)}
+
+
+class TestRuleFixtures:
+    def test_escaped_raw_tuple(self, fixture_findings):
+        assert fixture_checks(
+            fixture_findings, "escape_raw_tuple.py"
+        ) == {"raw-tuple-escape"}
+
+    def test_wire_leak(self, fixture_findings):
+        assert fixture_checks(
+            fixture_findings, "leak_wire_bytes.py"
+        ) == {"wire-escape"}
+
+    def test_impure_pool_task(self, fixture_findings):
+        assert fixture_checks(
+            fixture_findings, "impure_pool_task.py"
+        ) == {"impure-pool-task"}
+
+    def test_every_rule_is_an_error(self, fixture_findings):
+        assert checks(fixture_findings) == FIXTURE_CHECKS
+        assert all(f.severity == "error" for f in fixture_findings)
+
 
 # -- baseline gating ----------------------------------------------------------
 
@@ -309,6 +497,11 @@ class TestBaseline:
         assert rep.exit_code("new") == 0
         assert rep.exit_code("any") == 1
         assert rep.exit_code("none") == 0
+        # a subset run cannot tell a dead entry from another analyzer's
+        subset = Report(findings, {key: "known", "circuit:gone:g:x": "old"},
+                        full_sweep=False)
+        assert subset.stale_baseline() == []
+        assert "stale" not in subset.render_text()
 
     def test_new_unconstrained_wire_fails_ci_gate(self):
         # simulate the CI failure mode: a fresh dead wire in an otherwise
@@ -355,11 +548,13 @@ class TestShippedClean:
         assert audit_system(cs, "statement") == []
 
     def test_hygiene_tree_clean(self):
-        from repro.lint import lint_tree
-
         baseline = load_baseline(default_baseline_path())
         rep = Report(lint_tree(), baseline)
         assert rep.new_findings() == []
+
+    def test_boundary_rules_tree_clean(self):
+        # not even a baselined exception: the tree has none to justify
+        assert not checks(lint_tree()) & FIXTURE_CHECKS
 
     def test_incidence_stats_shape(self):
         stats = incidence_stats(build_gadget_system("strings/indicator"))
@@ -391,3 +586,59 @@ class TestCli:
         rc = lint_main(["--gadget", "bits/is_zero_at_zero", "--fail-on", "any"])
         assert rc == 1
         assert "baseline" in capsys.readouterr().out
+
+    def test_fixture_gate_fails_with_all_classes(self, capsys):
+        rc = lint_main(["hygiene", "--path", FIXTURES, "--fail-on", "any"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        for check in FIXTURE_CHECKS:
+            assert check in out
+
+    def test_tree_gate_passes(self, capsys):
+        # a subset run judges only its own findings: the baseline's circuit
+        # entry is not reported stale by a hygiene-only run
+        assert lint_main(["hygiene"]) == 0
+        assert "stale" not in capsys.readouterr().out
+
+    def test_json_out_writes_artifact(self, tmp_path, capsys):
+        out_path = tmp_path / "lint.json"
+        rc = lint_main(
+            [
+                "hygiene",
+                "--path", FIXTURES,
+                "--json",
+                "--json-out", str(out_path),
+                "--fail-on", "none",
+            ]
+        )
+        assert rc == 0
+        data = json.loads(out_path.read_text())
+        assert {f["check"] for f in data["findings"]} == FIXTURE_CHECKS
+        assert data["new"]  # fixtures are never baselined
+        # stdout carries the same JSON report
+        assert json.loads(capsys.readouterr().out)["new"] == data["new"]
+
+    def test_baseline_prune_drops_dead_keys(self, monkeypatch, tmp_path, capsys):
+        live = Finding("hygiene", "digest-compare", "error", "core/x.py:f", "m")
+        monkeypatch.setattr(lint_cli, "lint_tree", lambda: [live])
+        monkeypatch.setattr(lint_cli, "_gadget_findings", lambda *a, **k: [])
+        monkeypatch.setattr(lint_cli, "_statement_findings", lambda *a, **k: [])
+        path = tmp_path / "baseline.json"
+        save_baseline(str(path), {live.key: "ok", "circuit:gone:g:x": "old"})
+        rc = lint_main(["baseline", "prune", "--baseline", str(path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "pruned: circuit:gone:g:x" in out
+        assert load_baseline(str(path)) == {live.key: "ok"}
+
+    def test_baseline_requires_prune_action(self):
+        with pytest.raises(SystemExit):
+            lint_main(["baseline"])
+        with pytest.raises(SystemExit):
+            lint_main(["baseline", "rewrite"])
+
+    def test_action_rejected_for_other_targets(self):
+        with pytest.raises(SystemExit):
+            lint_main(["hygiene", "prune"])
+        with pytest.raises(SystemExit):
+            lint_main(["gadgets", "--path", FIXTURES])

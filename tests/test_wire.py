@@ -570,6 +570,48 @@ class TestEndToEnd:
             client2.verify_server("beta.example", chain_b, now)
         assert backend2.verify_calls == 1  # never re-verified for chain_b
 
+    def test_seen_nullifiers_bounded_and_recent_reuse_refused(
+        self, world, monkeypatch
+    ):
+        assert NopeClient.MAX_SEEN_NULLIFIERS == VerificationCache().max_entries
+        cap = 3
+        monkeypatch.setattr(NopeClient, "MAX_SEEN_NULLIFIERS", cap)
+        clock = world["clock"]
+        ca = world["ca"]
+
+        def fresh_csr():
+            csr, _ = build_multi_domain_csr(
+                [world["p2"]], EcdsaPrivateKey.generate(TOY29), ca.org_name,
+                clock.now(),
+            )
+            return csr
+
+        csr = fresh_csr()
+        chain_a = ca.issue("beta.example", csr.spki, csr.san_names())
+        ca.compromised = True
+        try:
+            chain_b = ca.issue_rogue("beta.example", csr.spki, csr.san_names())
+        finally:
+            ca.compromised = False
+        fillers = []
+        for _ in range(4):
+            other = fresh_csr()
+            fillers.append(
+                ca.issue("beta.example", other.spki, other.san_names())
+            )
+        now = clock.now()
+        client, _ = make_client(world)
+        seen = client._seen_nullifiers
+        # chain_a, two fillers, chain_a again (moves it to the newest end),
+        # then two more fillers: five distinct nullifiers through a map of 3
+        for chain in [chain_a] + fillers[:2] + [chain_a] + fillers[2:]:
+            assert client.verify_server("beta.example", chain, now).nope_ok
+            assert len(seen) <= cap
+        assert len(seen) == cap
+        # the two evictions took the oldest fillers, not the re-noted chain_a
+        with pytest.raises(ProofError, match="reuse"):
+            client.verify_server("beta.example", chain_b, now)
+
     def test_envelope_lifted_to_other_domain_refused(self, world):
         clock = world["clock"]
         tls_key = EcdsaPrivateKey.generate(TOY29)
