@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
 ``groth16_world`` runs the expensive pure-Python trusted setup once per
-session (depth-1 toy statement, ~20k constraints) and is shared by the
+session (depth-1 toy statement, ~15k constraints) and is shared by the
 Figure 4 and Figure 5 benches, which need *real* proofs and verifications.
 """
 

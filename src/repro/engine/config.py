@@ -10,13 +10,13 @@ on the host's multiprocessing support.
 Dispatch is **adaptive**: a ``workers=N`` engine only farms a kernel out
 when the work is large enough for the pool to win, so a parallel engine
 never regresses below the serial one.  The size thresholds are calibrated
-from recorded telemetry histograms rather than guessed — the checked-in
-``BENCH_groth16.json`` smoke run shows ``msm.points`` topping out at 224
-and ``fft.size`` at 128, sizes where process-pool dispatch measured a
-*slowdown* (speedup 0.75) — and the worker count is capped at the host's
-CPU count, since oversubscribed forks can only lose.  Setting
-``adaptive=False`` restores unconditional dispatch above the thresholds
-(useful for measuring the dispatch overhead itself).
+from recorded telemetry histograms rather than guessed — the
+``bench_groth16.py --smoke`` run they were set from showed ``msm.points``
+topping out at 224 and ``fft.size`` at 128, sizes where process-pool
+dispatch measured a *slowdown* (speedup 0.75) — and the worker count is
+capped at the host's CPU count, since oversubscribed forks can only lose.
+Setting ``adaptive=False`` restores unconditional dispatch above the
+thresholds (useful for measuring the dispatch overhead itself).
 """
 
 

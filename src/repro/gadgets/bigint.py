@@ -145,8 +145,9 @@ class LimbInt:
         return max(max(abs(lo), abs(hi)) for lo, hi in self.bounds)
 
     def _check_margin(self, cs, context):
-        # Soundness is argued limb-wise (the carry chain compares limbs and
-        # small carries), so only per-limb magnitudes must stay far below p.
+        # Soundness is argued per carry group (see carry_groups, which sizes
+        # the groups to the bounds), so only per-limb magnitudes must stay
+        # far below p here.
         if self.max_limb_magnitude() >= (cs.field.p >> MARGIN_BITS):
             raise SynthesisError(
                 "%s: bounds overflow the field soundness margin; "
@@ -306,11 +307,12 @@ class LimbInt:
     # -- checks (these are where constraints are paid) ---------------------------
 
     def assert_equal_int(self, cs, other, label="beq"):
-        """Enforce exact integer equality via carry propagation.
+        """Enforce exact integer equality via grouped carry propagation.
 
-        Each carry is a free linear combination (division by b in the
-        field); only the carries' range checks and the final zero cost
-        constraints.
+        The difference limbs are packed into groups ``T = c_in + sum d_t b^t``
+        as wide as the static bounds allow (:func:`carry_groups`); each group
+        but the last pays one carry wire, its definition row and its range
+        check, and the last group's ``T`` must be exactly zero.
         """
         n = self._aligned(other)
         self._check_margin(cs, label)
@@ -322,51 +324,42 @@ class LimbInt:
                 raise SynthesisError("%s: integers differ" % label)
             cs.enforce_zero(self.limbs[0] - other.limbs[0], label + ".eq1")
             return
-        base = 1 << self.limb_bits
-        inv_b = pow(base, -1, cs.field.p)
+        diff = self - other
+        bits = self.limb_bits
         carry_lc = None
         carry_int = 0
-        carry_lo, carry_hi = 0, 0
-        for k in range(n):
-            a_lc = self.limbs[k] if k < self.num_limbs else cs.constant(0)
-            b_lc = other.limbs[k] if k < other.num_limbs else cs.constant(0)
-            a_b = self.bounds[k] if k < self.num_limbs else (0, 0)
-            b_b = other.bounds[k] if k < other.num_limbs else (0, 0)
-            a_v = self.ints[k] if k < self.num_limbs else 0
-            b_v = other.ints[k] if k < other.num_limbs else 0
-            d_lc = a_lc - b_lc
-            d_int = a_v - b_v
-            d_lo = a_b[0] - b_b[1]
-            d_hi = a_b[1] - b_b[0]
-            t_lc = d_lc + carry_lc if carry_lc is not None else d_lc
-            t_int = d_int + carry_int
-            t_lo = d_lo + carry_lo
-            t_hi = d_hi + carry_hi
-            if t_int % base != 0:
-                raise SynthesisError("%s: integers differ (limb %d)" % (label, k))
-            carry_int = t_int // base
-            carry_lc = t_lc * inv_b
-            carry_lo = -((-t_lo) // base) if t_lo < 0 else t_lo // base
-            carry_hi = t_hi // base if t_hi >= 0 else -((-t_hi) // base)
-            # widen to be safe (integer division rounding)
-            carry_lo -= 1
-            carry_hi += 1
-            if k < n - 1:
-                # range-check the carry: shifted into non-negative range
-                span_bits = (carry_hi - carry_lo).bit_length() + 1
-                # materialize the carry on its own wire so decomposition is
-                # of a single wire (keeps LCs from snowballing)
-                carry_wire = cs.alloc(
-                    (carry_int - carry_lo) % cs.field.p, "%s.c%d" % (label, k)
+        for j, (start, stop, carry_lo, span_bits) in enumerate(
+            carry_groups(diff.bounds, bits, cs.field.p)
+        ):
+            t_lc = carry_lc
+            for t, lc in enumerate(diff.limbs[start:stop]):
+                term = lc * (1 << (bits * t))
+                t_lc = term if t_lc is None else t_lc + term
+            t_int = carry_int + sum(
+                v << (bits * t) for t, v in enumerate(diff.ints[start:stop])
+            )
+            if span_bits is None:
+                # the last group: the running remainder must be exactly zero
+                if t_int != 0:
+                    raise SynthesisError("%s: integers differ (total)" % label)
+                cs.enforce_zero(t_lc, label + ".final")
+                return
+            width = bits * (stop - start)
+            if t_int % (1 << width):
+                raise SynthesisError(
+                    "%s: integers differ (limbs %d..%d)" % (label, start, stop - 1)
                 )
-                cs.enforce_equal(
-                    carry_wire, carry_lc - carry_lo, "%s.cdef%d" % (label, k)
-                )
-                bit_decompose(cs, carry_wire, span_bits, "%s.crc%d" % (label, k))
-        # after the top limb the running remainder must be exactly zero
-        if carry_int != 0:
-            raise SynthesisError("%s: integers differ (total)" % label)
-        cs.enforce_zero(carry_lc, label + ".final")
+            carry_int = t_int >> width
+            # the carry lives on its own wire, shifted into [0, 2^span_bits):
+            # its definition row is c * b^g = T, and the next group reads the
+            # wire, so no linear combination snowballs along the chain
+            carry_wire = cs.alloc(carry_int - carry_lo, "%s.c%d" % (label, j))
+            inv_bg = pow(1 << width, -1, cs.field.p)
+            cs.enforce_equal(
+                carry_wire, t_lc * inv_bg - carry_lo, "%s.cdef%d" % (label, j)
+            )
+            bit_decompose(cs, carry_wire, span_bits, "%s.crc%d" % (label, j))
+            carry_lc = carry_wire + carry_lo
 
     def assert_zero_mod(self, cs, modulus, label="bzeromod"):
         """Enforce value = 0 (mod q): witness the quotient k, check value = k*q.
@@ -457,6 +450,63 @@ class LimbInt:
             LimbInt.from_const(cs, bound - 1, self.limb_bits, total.num_limbs),
             label + ".sum",
         )
+
+
+def carry_groups(bounds, limb_bits, p):
+    """Split difference limbs into carry groups, from static bounds alone.
+
+    Walks the limbs low to high and grows a group ``[start, stop)`` while
+    both of these stay below ``p >> MARGIN_BITS``:
+
+    (a) every value of the running sum ``T = c_in + sum d_t b^t``, where
+        ``c_in`` ranges over what the previous carry's range check admits;
+    (b) ``b^g`` times every carry the group's own range check admits.
+
+    Then the field identity ``c * b^g = T`` of a group's carry row spans
+    less than ``p`` and implies the integer identity, and the last group's
+    ``T = 0`` row does too (it has no carry, so only (a) applies).  Rule
+    (b) stops a run of zero-bounded limbs from widening a group until
+    ``b^g`` passes the field.  No witness value enters the grouping.
+
+    Yields ``(start, stop, carry_lo, span_bits)``: the carry is range
+    checked as ``carry - carry_lo`` in ``[0, 2^span_bits)``.  The last
+    group has ``carry_lo = span_bits = None``.
+    """
+    limit = p >> MARGIN_BITS
+    n = len(bounds)
+    start = 0
+    c_lo = c_hi = 0
+    while True:
+        chosen = None
+        t_lo, t_hi = c_lo, c_hi
+        for stop in range(start + 1, n + 1):
+            shift = limb_bits * (stop - 1 - start)
+            t_lo += bounds[stop - 1][0] << shift
+            t_hi += bounds[stop - 1][1] << shift
+            if max(-t_lo, t_hi) >= limit:  # rule (a)
+                break
+            if stop == n:
+                chosen = (stop, None, None)
+                break
+            width = limb_bits * (stop - start)
+            lo = t_lo >> width  # floor
+            hi = -((-t_hi) >> width)  # ceil
+            span_bits = (hi - lo).bit_length()
+            top = lo + (1 << span_bits) - 1
+            if max(-lo, top) << width >= limit:  # rule (b)
+                break
+            chosen = (stop, lo, span_bits)
+        if chosen is None:
+            raise SynthesisError(
+                "carry group at limb %d overflows the field soundness margin"
+                % start
+            )
+        stop, lo, span_bits = chosen
+        yield start, stop, lo, span_bits
+        if span_bits is None:
+            return
+        start = stop
+        c_lo, c_hi = lo, lo + (1 << span_bits) - 1
 
 
 def naive_mod_reduce(cs, x, modulus, label="naivemod"):

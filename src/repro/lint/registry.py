@@ -231,6 +231,16 @@ def _bigint_assert_zero_mod(cs):
     (x - c).assert_zero_mod(cs, _RSA_N, "zmod")
 
 
+def _bigint_assert_equal_grouped(cs):
+    # 64-bit limbs: the product's bounds allow two limbs per carry group, so
+    # the equality materializes several carry wires for the probe
+    a_val, b_val = 0x0123456789ABCDEF0011223344556677, 0xFEDCBA98765432100F0E0D0C
+    a = LimbInt.alloc(cs, a_val, 64, 4, "a")
+    b = LimbInt.alloc(cs, b_val, 64, 4, "b")
+    want = LimbInt.alloc(cs, a_val * b_val, 64, 8, "want")
+    a.mul(cs, b, "ab").assert_equal_int(cs, want, "geq")
+
+
 def _bigint_naive_mod_reduce(cs):
     a = LimbInt.alloc(cs, 0x1122334455667788, 32, 3, "a")
     b = LimbInt.alloc(cs, 0x99AABBCCDD, 32, 3, "b")
@@ -354,6 +364,7 @@ GADGET_AUDITS = {
     "hash/sha256_var": _sha256_var,
     "bigint/modmul_reduce": _bigint_modmul,
     "bigint/assert_zero_mod": _bigint_assert_zero_mod,
+    "bigint/assert_equal_grouped": _bigint_assert_equal_grouped,
     "bigint/naive_mod_reduce": _bigint_naive_mod_reduce,
     "ecc/on_curve": _ecc_on_curve,
     "ecc/point_add": _ecc_point_add,

@@ -1,6 +1,6 @@
 """The full pipeline through the REAL Groth16 backend (slow: pure-Python
 trusted setup + proving).  Uses a depth-1 domain so the statement stays
-around 20k constraints."""
+around 15k constraints."""
 
 import pytest
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.statement import NopeStatement, StatementShape, prepare_witness
+from repro.costmodel.counts import count_statement
 from repro.dns.name import DomainName
 from repro.ec.curves import BN254_R
 from repro.errors import SynthesisError
@@ -146,3 +147,10 @@ class TestAblationVariants:
         cs.check_satisfied()
         cs2, _ = synthesize(setup_world, "example.com")
         assert cs.num_constraints < cs2.num_constraints
+
+    def test_depth1_fits_16384_point_domain(self):
+        """The depth-1 toy statement (the one renewals prove) stays within
+        a 2^14 QAP domain; crossing it doubles every prover FFT and the
+        H-query MSM.  The margin (~1,300) is several times the drift that
+        freshly drawn keys cause."""
+        assert count_statement(TOY, "tld", "nope", "nope") <= 1 << 14
