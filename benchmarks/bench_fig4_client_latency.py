@@ -27,8 +27,7 @@ def replay(config):
     from repro.wire import KIND_SIMULATION, VERSION_PRODUCTION, envelope_to_sans, seal
 
     body = bytes(i % 251 for i in range(128))
-    env = seal(KIND_SIMULATION, VERSION_PRODUCTION, body, "nope-tools",
-               shape_id="bench/fig4")
+    env = seal(KIND_SIMULATION, VERSION_PRODUCTION, body, "nope-tools")
     sans = envelope_to_sans(env)
     return {
         "san_labels": len(sans),

@@ -6,12 +6,11 @@ proof body is always 128 raw bytes regardless of scale, but certificate
 and DNSSEC-chain sizes depend on real key sizes.
 
 Paper: chain 2554 B; encoded NOPE proof 248 B (9.7%); raw 128 B (5.0%);
-DCE 5870 B (229.8%).  This repo wraps the 128-byte body in the canonical
-197-byte wire envelope (kind/version/flags + statement digest + nullifier,
-see repro.wire), so the encoded SAN payload is ~350 chars across 7 labels
-instead of the paper's ~200 — the extra ~69 B header/nullifier overhead is
-the price of domain-rebinding and reuse protection, and stays well under
-the paper's "small fraction of the chain" claim checked below.
+DCE 5870 B (229.8%).  The SAN layout is the paper's Appendix D geometry:
+a version char, a metadata char (kind, profile version, managed flag),
+the 128-byte body as 197 base-37 chars and a checksum char, 200 chars in
+four labels (see repro.wire).  The nullifier is derived, not carried, so
+for ``nope-tools.org`` the whole payload is one 223-byte SAN.
 """
 
 import secrets
@@ -35,16 +34,12 @@ def replay(config):
     issuance in the fixture depends on secrets-generated keys, which a
     deterministic replay cannot reproduce)."""
     body = bytes((i * 53 + 7) % 251 for i in range(128))
-    env = seal(
-        KIND_SIMULATION, VERSION_PRODUCTION, body, "nope-tools.org",
-        shape_id="bench/fig7",
-    )
+    env = seal(KIND_SIMULATION, VERSION_PRODUCTION, body, "nope-tools.org")
     sans = envelope_to_sans(env)
     return {
         "san_labels": len(sans),
         "encoded_proof_bytes": sum(len(s) for s in sans),
         "raw_proof_bytes": len(body),
-        "wire_envelope_bytes": 197,
     }
 
 
@@ -63,8 +58,7 @@ def cert_world():
     # 128-byte body, so a placeholder sealed under the simulation kind
     # keeps this bench fast (the groth16 codec would insist on real points)
     env = seal(
-        KIND_SIMULATION, VERSION_PRODUCTION, secrets.token_bytes(128),
-        domain, shape_id="bench/fig7",
+        KIND_SIMULATION, VERSION_PRODUCTION, secrets.token_bytes(128), domain
     )
     sans = [domain] + envelope_to_sans(env)
     chain = ca.issue(domain, SubjectPublicKeyInfo(tls_key.public_key), sans)
@@ -92,7 +86,6 @@ def decompose(chain):
     rows["Encoded NOPE proof"] = sum(
         len(n) for n in leaf.san_names() if is_nope_san(n)
     )
-    rows["Wire envelope"] = 197
     rows["Raw NOPE proof"] = 128
     return rows
 
@@ -120,14 +113,13 @@ def test_zz_print_decomposition(benchmark, cert_world):
         % ("DCE chain", dce_size, 100.0 * dce_size / total)
     )
     assert rows["Raw NOPE proof"] == 128
-    assert rows["Wire envelope"] == 197
-    # v1 SANs carry the 197-byte envelope as 350 base-37 chars plus the
-    # per-SAN "n<k>pe." prefixes and parent-domain suffixes
-    assert rows["Encoded NOPE proof"] >= 350
+    # 200 base-37 chars plus the "n0pe." prefix, label dots and the
+    # domain suffix: at most the paper's 248 B
+    assert rows["Encoded NOPE proof"] <= 250
     # the paper's shape: DCE costs substantially more than the NOPE proof,
     # and more than the whole certificate chain
     assert dce_size > total
-    # paper: 248/2554 = 9.7%.  Here the envelope adds ~150 encoded chars
-    # and the simulated chain is leaner than a real production chain, so
-    # the share rises to ~27% — still a minor fraction of the chain
+    # paper: 248/2554 = 9.7%.  The simulated chain is leaner than a real
+    # production chain, so the share here is higher — still a minor
+    # fraction of the chain
     assert rows["Encoded NOPE proof"] < 0.30 * total

@@ -125,8 +125,7 @@ class CertificationAuthority:
                 continue  # no (valid) payload for this domain; any
                 # fragments it owns stay unconsumed and fail below
             consumed.update(payload.consumed)
-            if payload.nullifier is not None:
-                nullifiers.append(payload.nullifier)
+            nullifiers.append(payload.nullifier)
         orphaned = [s for s in nope if s not in consumed]
         if orphaned:
             raise ProtocolError(

@@ -39,7 +39,7 @@ from ..hashes.sha256 import sha256
 from ..telemetry import metrics as _metrics
 from ..telemetry.export import stats_line
 from ..telemetry.trace import span as _span
-from ..wire import NULLIFIER_REJECTED, extract_proof, statement_digest
+from ..wire import NULLIFIER_REJECTED, extract_proof, version_for_profile
 from ..x509 import oid as OID
 from ..x509.cert import parse_sct_list
 from ..x509.san import is_nope_san
@@ -346,7 +346,7 @@ class NopeClient:
             )
 
     def _note_nullifier(self, payload, fingerprint):
-        if payload is not None and payload.nullifier is not None and fingerprint:
+        if payload is not None and fingerprint:
             seen = self._seen_nullifiers
             # re-noting moves the entry to the newest end
             seen.pop(payload.nullifier, None)
@@ -396,33 +396,26 @@ class NopeClient:
         from ..dns.name import DomainName
         from .statement import StatementShape
 
+        env = payload.envelope
+        expected_kind = getattr(self.backend, "kind", None)
+        if expected_kind is not None and env.kind != expected_kind:
+            raise ProofError(
+                "envelope kind %#x does not match the %r backend"
+                % (env.kind, getattr(self.backend, "name", "?"))
+            )
+        if env.version != version_for_profile(self.profile.name):
+            raise ProofError(
+                "envelope body version %d does not match the %s profile"
+                % (env.version, self.profile.name)
+            )
         depth = DomainName.parse(domain).depth
         shape_id = StatementShape(
             self.profile, depth, managed=payload.managed
         ).id_string()
-        env = payload.envelope
-        if env is not None:
-            expected_kind = getattr(self.backend, "kind", None)
-            if expected_kind is not None and env.kind != expected_kind:
-                raise ProofError(
-                    "envelope kind %#x does not match the %r backend"
-                    % (env.kind, getattr(self.backend, "name", "?"))
-                )
-            if not hmac.compare_digest(env.statement, statement_digest(shape_id)):
-                raise ProofError(
-                    "envelope statement digest does not match %s" % shape_id
-                )
         entry = self.statements.get(shape_id)
         if entry is None:
             raise ProofError("no verification key for statement %s" % shape_id)
         return entry
-
-    def _payload_proof(self, payload):
-        """The decoded proof: the envelope's, or a legacy raw body decoded
-        by the backend."""
-        if payload.envelope is not None:
-            return payload.proof
-        return self.backend.decode(payload.body)
 
     def _verify_nope_proof(self, domain, leaf, payload, payload_error):
         if payload is None:
@@ -430,7 +423,7 @@ class NopeClient:
                 "malformed NOPE SAN encoding: %s" % payload_error
             ) from payload_error
         statement, keys = self._statement_for_payload(domain, payload)
-        proof = self._payload_proof(payload)
+        proof = payload.proof
         ca_name = (leaf.issuer.organization or "").encode()
         base_ts = truncate_timestamp(leaf.not_before)
         # the prover truncates TS *before* CA issuance latency, so the
@@ -504,11 +497,10 @@ class NopeClient:
                     )
                 report = VerificationReport(domain, True, True, True)
                 reports[domain] = report
-                token = payload.nullifier or fingerprint
                 if self.verification_cache is not None:
                     self.verification_cache.store(
-                        token, domain, report, leaf, now, ocsp_response,
-                        fingerprint=fingerprint,
+                        payload.nullifier, domain, report, leaf, now,
+                        ocsp_response, fingerprint=fingerprint,
                     )
             return reports
 
@@ -528,7 +520,7 @@ class NopeClient:
         ca_name = (leaf.issuer.organization or "").encode()
         base_ts = truncate_timestamp(leaf.not_before)
         for statement, keys, members in groups.values():
-            proofs = [self._payload_proof(p) for _, p in members]
+            proofs = [p.proof for _, p in members]
             last_error = None
             for delta in (0, -TS_GRANULARITY):
                 publics = [

@@ -131,15 +131,15 @@ class NopeProver:
                 )
             return self.backend.prove(self.keys, cs), ts
 
-    #: legacy SAN metadata character: 0 = base NOPE, 1 = NOPE-managed.
-    #: Under the envelope wire format this becomes the managed flag bit.
-    san_metadata = 0
+    #: proves the NOPE-managed statement (paper App. A); sealed as the
+    #: envelope's managed flag
+    managed = False
 
     def seal_envelope(self, proof_bytes):
         """Wrap raw proof bytes in the canonical wire envelope.
 
         The envelope binds the proof to this prover's backend kind,
-        parameter-profile version, statement shape, and domain — producing
+        parameter-profile version, managed flag, and domain — producing
         the nullifier that clients and CAs use to refuse reuse.
         """
         return seal(
@@ -147,8 +147,7 @@ class NopeProver:
             version_for_profile(self.profile.name),
             proof_bytes,
             str(self.domain).rstrip("."),
-            shape_id=self.shape.id_string(),
-            managed=bool(self.san_metadata),
+            managed=self.managed,
         )
 
     def build_csr(self, tls_private_key, proof_bytes):

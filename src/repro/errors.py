@@ -28,11 +28,6 @@ class WireError(EncodingError):
     """Malformed canonical proof envelope (bad tag, version, framing...)."""
 
 
-class NullifierError(WireError):
-    """An envelope's nullifier does not match its canonical bytes — the
-    proof was rebound to a different domain or tampered in transit."""
-
-
 class SynthesisError(ReproError):
     """Constraint-system construction failed (bad gadget inputs, overflow)."""
 

@@ -34,7 +34,7 @@ Repo rules enforced (each a check name, keyed per file + enclosing scope):
   baseline justification.
 * ``wire-escape``      — importing or calling a raw proof wire primitive
   (``proof_to_bytes``, the ``g1``/``g2`` point codecs, the SAN
-  ``encode_*``/``decode_*`` helpers) outside the sanctioned layers
+  ``encode_sans``/``collect_chars`` transport) outside the sanctioned layers
   (``wire/``, ``groth16/``, ``x509/san.py`` and its re-exporting
   ``__init__``).  Every other module must produce and consume proof
   bytes through the :mod:`repro.wire` envelope API, so sealing and the
@@ -92,10 +92,7 @@ _EXEMPT_TAILS = {"type", "types", "len", "length", "size", "id", "alg"}
 WIRE_PRIMITIVES = frozenset({
     "proof_to_bytes", "proof_from_bytes",
     "g1_to_bytes", "g1_from_bytes", "g2_to_bytes", "g2_from_bytes",
-    "encode_proof_chars", "decode_proof_chars",
-    "encode_proof_sans", "decode_proof_sans",
-    "encode_payload_chars", "decode_payload_chars",
-    "encode_payload_sans", "decode_payload_sans",
+    "encode_sans", "collect_chars",
 })
 
 #: layers allowed to touch the wire primitives directly

@@ -8,18 +8,13 @@ package is the only sanctioned producer/consumer of proof wire bytes
 
 from .envelope import (
     FLAG_MANAGED,
-    HEADER_SIZE,
     NULLIFIER_REJECTED,
-    NULLIFIER_SIZE,
     NULLIFIER_TAG,
-    STATEMENT_TAG,
     ProofEnvelope,
     compute_nullifier,
     decode_envelope,
     encode_envelope,
-    envelope_size,
     seal,
-    statement_digest,
 )
 from .registry import (
     KIND_GROTH16,
@@ -44,13 +39,10 @@ from .golden import GOLDEN_FORMAT_VERSION, check_golden, roundtrip_golden
 __all__ = [
     "FLAG_MANAGED",
     "GOLDEN_FORMAT_VERSION",
-    "HEADER_SIZE",
     "KIND_GROTH16",
     "KIND_SIMULATION",
     "NULLIFIER_REJECTED",
-    "NULLIFIER_SIZE",
     "NULLIFIER_TAG",
-    "STATEMENT_TAG",
     "VERSION_PRODUCTION",
     "VERSION_TOY",
     "BodyCodec",
@@ -61,7 +53,6 @@ __all__ = [
     "decode_envelope",
     "encode_envelope",
     "envelope_from_sans",
-    "envelope_size",
     "envelope_to_sans",
     "extract_proof",
     "get_codec",
@@ -70,6 +61,5 @@ __all__ = [
     "registered_kinds",
     "roundtrip_golden",
     "seal",
-    "statement_digest",
     "version_for_profile",
 ]

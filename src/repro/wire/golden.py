@@ -1,4 +1,4 @@
-"""Checked-in golden vectors pinning the wire format byte-for-byte.
+"""Checked-in golden vectors pinning the wire format character-for-character.
 
 ``golden_vectors.json`` is generated once per format revision and checked
 in; CI recomputes every vector from the live code and fails on any drift.
@@ -29,9 +29,9 @@ from .registry import (
 )
 from .transport import envelope_to_sans
 
-#: bump when the wire format (envelope layout, SAN layout, checksum, or
+#: bump when the wire format (SAN layout, header chars, checksum, or
 #: nullifier derivation) intentionally changes, and regenerate the file
-GOLDEN_FORMAT_VERSION = 1
+GOLDEN_FORMAT_VERSION = 2
 
 _DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "golden_vectors.json")
 
@@ -62,45 +62,31 @@ def _det_groth16_body(tag):
 def generate_vectors():
     """Recompute every golden vector from the live code."""
     cases = [
-        ("groth16-toy", KIND_GROTH16, VERSION_TOY, "example.com",
-         "toy/d2/nope/nope", False, _det_groth16_body(b"g16-toy")),
+        ("groth16-toy", KIND_GROTH16, VERSION_TOY, "example.com", False,
+         _det_groth16_body(b"g16-toy")),
         ("groth16-production-managed", KIND_GROTH16, VERSION_PRODUCTION,
-         "nope-tools.org", "production/d2/nope/nope/managed", True,
-         _det_groth16_body(b"g16-prod")),
+         "nope-tools.org", True, _det_groth16_body(b"g16-prod")),
         ("simulation-toy", KIND_SIMULATION, VERSION_TOY, "victim.example",
-         "toy/d2/nope/nope", False, _det_bytes(128, b"sim-toy")),
+         False, _det_bytes(128, b"sim-toy")),
+        # long enough that the four labels split over two SANs
+        ("simulation-production-long-domain", KIND_SIMULATION,
+         VERSION_PRODUCTION, "a-rather-long-subdomain-name-here.victim.example",
+         False, _det_bytes(128, b"sim-long")),
     ]
     vectors = []
-    for name, kind, version, domain, shape_id, managed, body in cases:
-        env = seal(kind, version, body, domain, shape_id=shape_id,
-                   managed=managed)
+    for name, kind, version, domain, managed, body in cases:
+        env = seal(kind, version, body, domain, managed=managed)
         vectors.append({
             "name": name,
             "kind": kind,
             "version": version,
             "flags": env.flags,
             "domain": domain,
-            "shape_id": shape_id,
             "body": body.hex(),
-            "envelope": encode_envelope(env).hex(),
+            "envelope": encode_envelope(env),
             "nullifier": env.nullifier.hex(),
             "sans": envelope_to_sans(env),
         })
-    # legacy version-0 SAN payload: raw proof + metadata character, kept
-    # decodable forever
-    from ..x509.san import encode_proof_chars, encode_proof_sans
-
-    legacy_proof = _det_bytes(128, b"legacy-v0")
-    vectors.append({
-        "name": "legacy-san-v0",
-        "kind": None,
-        "version": 0,
-        "domain": "example.com",
-        "proof": legacy_proof.hex(),
-        "metadata": 1,
-        "chars": encode_proof_chars(legacy_proof, metadata=1),
-        "sans": encode_proof_sans(legacy_proof, "example.com", metadata=1),
-    })
     return vectors
 
 
@@ -160,7 +146,6 @@ def roundtrip_golden(path=_DEFAULT_PATH):
     from ..errors import EncodingError
     from .envelope import decode_envelope
     from .transport import extract_proof
-    from ..x509.san import decode_proof_sans
 
     problems = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -168,16 +153,11 @@ def roundtrip_golden(path=_DEFAULT_PATH):
     for vec in stored.get("vectors", ()):
         name = vec["name"]
         try:
-            if vec.get("kind") is None:
-                proof, metadata = decode_proof_sans(vec["sans"], vec["domain"])
-                if proof.hex() != vec["proof"] or metadata != vec["metadata"]:
-                    problems.append("vector %r legacy decode mismatch" % name)
-                continue
-            env = decode_envelope(bytes.fromhex(vec["envelope"]), vec["domain"])
+            env = decode_envelope(vec["envelope"], vec["domain"])
             if env.nullifier.hex() != vec["nullifier"]:
                 problems.append("vector %r nullifier mismatch" % name)
             payload = extract_proof(vec["sans"], vec["domain"])
-            if payload.body.hex() != vec["body"]:
+            if payload.body.hex() != vec["body"] or payload.envelope != env:
                 problems.append("vector %r SAN roundtrip mismatch" % name)
         except EncodingError as exc:
             problems.append("vector %r failed to decode: %s" % (name, exc))

@@ -8,10 +8,12 @@ that **no module outside repro.wire touches proof wire bytes directly**
 (enforced by the ``wire-escape`` hygiene lint rule).
 
 Versions name profiles, not byte layouts: version 0 is the toy profile,
-version 1 the production profile.  Both use the same 128-byte body today;
-a future proof system (or a curve change) registers a new kind/version
-instead of silently changing existing bytes — the golden vectors in
-:mod:`repro.wire.golden` pin every registered layout.
+version 1 the production profile.  Both carry the same 128-byte body.
+The SAN metadata char packs ``kind * 4 + version * 2 + managed``, so kinds
+up to 8 with versions 0-1 fit it; a proof system or curve beyond that
+needs a new SAN version char rather than silently changed characters —
+the golden vectors in :mod:`repro.wire.golden` pin every registered
+layout.
 """
 
 from ..errors import WireError

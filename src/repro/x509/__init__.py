@@ -21,22 +21,7 @@ from .cert import (
     sig_alg_for_key,
 )
 from .csr import CertificateRequest
-from .san import (
-    LABEL_LEN,
-    PROOF_BYTES,
-    PROOF_CHARS,
-    SAN_VERSION_ENVELOPE,
-    SAN_VERSION_LEGACY,
-    TOTAL_CHARS,
-    chars_for_bytes,
-    decode_payload_sans,
-    decode_proof_chars,
-    decode_proof_sans,
-    encode_payload_sans,
-    encode_proof_chars,
-    encode_proof_sans,
-    is_nope_san,
-)
+from .san import LABEL_LEN, is_nope_san
 from .validate import chain_wire_size, hostname_matches, validate_chain
 
 __all__ = [
@@ -58,19 +43,7 @@ __all__ = [
     "sct_list_extension",
     "parse_sct_list",
     "ct_poison_extension",
-    "encode_proof_sans",
-    "decode_proof_sans",
-    "encode_proof_chars",
-    "decode_proof_chars",
-    "encode_payload_sans",
-    "decode_payload_sans",
-    "chars_for_bytes",
     "is_nope_san",
-    "SAN_VERSION_LEGACY",
-    "SAN_VERSION_ENVELOPE",
-    "PROOF_BYTES",
-    "PROOF_CHARS",
-    "TOTAL_CHARS",
     "LABEL_LEN",
     "validate_chain",
     "hostname_matches",

@@ -328,6 +328,22 @@ def ct_poison_extension():
 # -- the certificate ----------------------------------------------------------------
 
 
+def require_canonical(parsed, data):
+    """``parsed`` if it re-encodes to exactly ``data``, else EncodingError.
+
+    DER gives every value one encoding; a reader that accepts other forms
+    (a rewritten tag, a non-minimal length or integer) would let one
+    signed object travel as many byte strings.
+    """
+    try:
+        canonical = parsed.to_der() == bytes(data)
+    except UnicodeError:  # decoded text the canonical encoder cannot hold
+        canonical = False
+    if not canonical:
+        raise EncodingError("non-canonical DER encoding")
+    return parsed
+
+
 class Certificate:
     """An X.509 v3 certificate (or precertificate, if poisoned)."""
 
@@ -355,7 +371,10 @@ class Certificate:
 
     @staticmethod
     def new_serial():
-        return secrets.randbits(120)
+        """118 random bits under a fixed top bit: the DER INTEGER is always
+        15 content bytes, so a certificate's size does not move with the
+        serial drawn."""
+        return (1 << 118) | secrets.randbits(118)
 
     # -- structure helpers --------------------------------------------------
 
@@ -427,6 +446,8 @@ class Certificate:
 
     @classmethod
     def from_der(cls, data):
+        """Parse DER, refusing any encoding but the canonical one (so the
+        signature is checked over exactly the received TBS bytes)."""
         outer = DerReader(data).read_sequence()
         _, tbs_content = outer.read(TAG_SEQUENCE)
         tbs = DerReader(tbs_content)
@@ -460,7 +481,7 @@ class Certificate:
         if sig_oid2 != sig_oid:
             raise EncodingError("signature algorithm mismatch")
         signature = outer.read_bit_string()
-        return cls(
+        return require_canonical(cls(
             serial,
             issuer,
             subject,
@@ -470,7 +491,7 @@ class Certificate:
             extensions,
             sig_oid,
             signature,
-        )
+        ), data)
 
     def __repr__(self):
         return "Certificate(subject=%s serial=%x)" % (

@@ -26,6 +26,7 @@ from .cert import (
     Name,
     SubjectPublicKeyInfo,
     parse_san,
+    require_canonical,
     san_extension,
     sig_alg_for_key,
 )
@@ -91,6 +92,7 @@ class CertificateRequest:
 
     @classmethod
     def from_der(cls, data):
+        """Parse DER, refusing any encoding but the canonical one."""
         outer = DerReader(data).read_sequence()
         _, info_raw = outer.read(TAG_SEQUENCE)
         info = DerReader(info_raw)
@@ -115,4 +117,6 @@ class CertificateRequest:
         alg = outer.read_sequence()
         sig_oid = alg.read_oid()
         signature = outer.read_bit_string()
-        return cls(subject, spki, extensions, sig_oid, signature)
+        return require_canonical(
+            cls(subject, spki, extensions, sig_oid, signature), data
+        )

@@ -1,34 +1,26 @@
-"""NOPE payload <-> Subject Alternative Name encoding (paper Appendix D).
+"""Base-37 label transport for NOPE payloads in SANs (paper Appendix D).
 
-A binary payload is base-37 encoded into hostname-safe characters
-(alphabet a-z, 0-9, '-'), wrapped with a version character and a checksum
-character, zero-padded to a whole number of 50-character labels, and
-attached under an ``n0pe.`` prefix::
+A payload is a string of hostname-safe characters (alphabet a-z, 0-9,
+'-') whose length is a whole number of 50-character labels.  The labels
+are attached under an ``n0pe.`` prefix::
 
     n0pe.<label>...<label>.<domain>
 
-For long domains (or long payloads) the labels are spread across multiple
-SANs whose prefixes count up (``n0pe.``, ``n1pe.``, ...) to fix the order.
+For long domains the labels are spread across several SANs whose
+prefixes count up (``n0pe.``, ``n1pe.``, ...) to fix the order.
 
-Two SAN payload versions exist, selected by the leading version character:
+This module knows only the transport: the alphabet and base-37 integer
+codec, the position-weighted checksum, the label geometry and the strict
+collection of a domain's labels.  What the characters mean (version,
+metadata, proof body, where the checksum sits) is :mod:`repro.wire`'s
+business.
 
-* **version 0** (legacy): a raw 128-byte proof plus a metadata character
-  (0 = base NOPE, 1 = NOPE-managed) — 200 characters in 4 labels, guarded
-  by the original position-blind ``sum mod 37`` checksum.  Kept so that
-  historical vectors still decode.
-* **version 1**: the 197-byte canonical proof envelope from
-  :mod:`repro.wire` (kind tag, body version, flags, statement digest,
-  body, nullifier) — 350 characters in 7 labels.  The old metadata
-  character is gone (the envelope's flags/version fields carry it), and
-  the checksum is position-weighted so transposed characters are caught.
-
-Decoding is strict: every label between the ``nXpe`` prefix and the
-domain must be *exactly* 50 base-37 characters, and the total label count
-must match the version's layout.  A NOPE SAN belonging to a subdomain
-(``n0pe.<...>.sub.example.com``) therefore can never be absorbed into a
-decode for the parent (``example.com``) — its trailing ``sub`` label has
-the wrong length — which also makes multi-domain certificates (one SAN
-set per bound domain) unambiguous.
+Collection is strict: every label between the ``nXpe`` prefix and the
+domain must be *exactly* 50 base-37 characters.  A NOPE SAN belonging to
+a subdomain (``n0pe.<...>.sub.example.com``) therefore can never be
+absorbed into a collection for the parent (``example.com``) — its
+trailing ``sub`` label has the wrong length — which also makes
+multi-domain certificates (one SAN set per bound domain) unambiguous.
 """
 
 from ..errors import EncodingError
@@ -37,22 +29,10 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789-"
 BASE = len(ALPHABET)  # 37
 _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 
-PROOF_BYTES = 128
-#: ceil(log_37(2^1024)) — matches the paper's 197
-PROOF_CHARS = 197
-#: version 0 layout: version + metadata + 197 payload chars + checksum
-TOTAL_CHARS = PROOF_CHARS + 3
 LABEL_LEN = 50
-NUM_LABELS = TOTAL_CHARS // LABEL_LEN  # 4
 
 #: maximum total SAN length (RFC 1035 name limit, presented form)
 MAX_SAN_LENGTH = 253
-
-#: SAN payload versions
-SAN_VERSION_LEGACY = 0
-SAN_VERSION_ENVELOPE = 1
-
-VERSION_CHAR = ALPHABET[SAN_VERSION_LEGACY]
 
 
 def chars_for_bytes(n):
@@ -64,61 +44,13 @@ def chars_for_bytes(n):
     return k
 
 
-class _SanLayout:
-    """One SAN payload version's geometry and checksum."""
-
-    __slots__ = ("version", "payload_bytes", "payload_chars", "has_metadata",
-                 "padding_chars", "total_chars", "num_labels", "checksum")
-
-    def __init__(self, version, payload_bytes, has_metadata, checksum):
-        self.version = version
-        self.payload_bytes = payload_bytes
-        self.payload_chars = chars_for_bytes(payload_bytes)
-        self.has_metadata = has_metadata
-        # version + [metadata] + payload + padding + checksum, padded so
-        # the total divides into whole 50-char labels (strict decoding
-        # counts labels, so no trailing short label may exist)
-        fixed = 2 + (1 if has_metadata else 0) + self.payload_chars
-        self.padding_chars = -fixed % LABEL_LEN
-        self.total_chars = fixed + self.padding_chars
-        self.num_labels = self.total_chars // LABEL_LEN
-        self.checksum = checksum
+def is_base37(text):
+    return all(c in _CHAR_INDEX for c in text)
 
 
-def _checksum_v0(chars):
-    """Legacy position-blind checksum (misses all transpositions)."""
-    return ALPHABET[sum(_CHAR_INDEX[c] for c in chars) % BASE]
-
-
-def _checksum_weighted(chars):
-    """Position-weighted checksum: weight (i mod 36) + 1 is never zero mod
-    37, so any transposition of unequal characters fewer than 36 positions
-    apart changes the sum."""
-    total = 0
-    for i, c in enumerate(chars):
-        total += ((i % 36) + 1) * _CHAR_INDEX[c]
-    return ALPHABET[total % BASE]
-
-
-#: the version-character index selects the layout
-SAN_LAYOUTS = {
-    SAN_VERSION_LEGACY: _SanLayout(
-        SAN_VERSION_LEGACY, PROOF_BYTES, True, _checksum_v0
-    ),
-    SAN_VERSION_ENVELOPE: _SanLayout(
-        SAN_VERSION_ENVELOPE, 197, False, _checksum_weighted
-    ),
-}
-
-assert SAN_LAYOUTS[SAN_VERSION_LEGACY].total_chars == TOTAL_CHARS
-
-
-def _prefix(index):
-    return "n%dpe" % index
-
-
-def _encode_base37(payload, num_chars):
-    value = int.from_bytes(payload, "big")
+def encode_base37(data, num_chars):
+    """``data`` as a big-endian number in exactly ``num_chars`` digits."""
+    value = int.from_bytes(data, "big")
     digits = []
     for _ in range(num_chars):
         value, rem = divmod(value, BASE)
@@ -128,7 +60,8 @@ def _encode_base37(payload, num_chars):
     return "".join(reversed(digits))
 
 
-def _decode_base37(chars, num_bytes):
+def decode_base37(chars, num_bytes):
+    """Inverse of :func:`encode_base37`; refuses values over ``num_bytes``."""
     value = 0
     for c in chars:
         value = value * BASE + _CHAR_INDEX[c]
@@ -137,112 +70,40 @@ def _decode_base37(chars, num_bytes):
     return value.to_bytes(num_bytes, "big")
 
 
-def encode_payload_chars(payload, version, metadata=0):
-    """Wrap a binary payload in one version's character layout."""
-    layout = SAN_LAYOUTS.get(version)
-    if layout is None:
-        raise EncodingError("unknown NOPE SAN version %d" % version)
-    if len(payload) != layout.payload_bytes:
+def checksum(chars):
+    """Position-weighted checksum character: weight (i mod 36) + 1 is never
+    zero mod 37, so any substitution, and any transposition of unequal
+    characters fewer than 36 positions apart, changes the sum."""
+    total = 0
+    for i, c in enumerate(chars):
+        total += ((i % 36) + 1) * _CHAR_INDEX[c]
+    return ALPHABET[total % BASE]
+
+
+def _prefix(index):
+    return "n%dpe" % index
+
+
+def encode_sans(chars, domain):
+    """Cut payload characters into labels spread over as few SANs for
+    ``domain`` as the name-length limit allows."""
+    domain = domain.rstrip(".")
+    if len(chars) % LABEL_LEN or not is_base37(chars):
         raise EncodingError(
-            "version %d payload must be %d bytes, got %d"
-            % (version, layout.payload_bytes, len(payload))
+            "NOPE SAN payload must be whole %d-char base-37 labels" % LABEL_LEN
         )
-    body = ALPHABET[version]
-    if layout.has_metadata:
-        if not 0 <= metadata < BASE:
-            raise EncodingError(
-                "metadata %r outside [0, %d]" % (metadata, BASE - 1)
-            )
-        body += ALPHABET[metadata]
-    body += _encode_base37(payload, layout.payload_chars)
-    body += ALPHABET[0] * layout.padding_chars
-    return body + layout.checksum(body)
-
-
-def decode_payload_chars(chars):
-    """Inverse of :func:`encode_payload_chars`.
-
-    Returns ``(version, payload_bytes, metadata)`` — metadata is None for
-    versions without the legacy metadata character.
-    """
-    for c in chars:
-        if c not in _CHAR_INDEX:
-            raise EncodingError("invalid base-37 character %r" % c)
-    if not chars:
-        raise EncodingError("empty NOPE SAN payload")
-    version = _CHAR_INDEX[chars[0]]
-    layout = SAN_LAYOUTS.get(version)
-    if layout is None:
-        raise EncodingError("unsupported NOPE SAN version %r" % chars[0])
-    if len(chars) != layout.total_chars:
-        raise EncodingError(
-            "version %d payload must be %d characters, got %d"
-            % (version, layout.total_chars, len(chars))
-        )
-    body, check = chars[:-1], chars[-1]
-    if layout.checksum(body) != check:
-        raise EncodingError("NOPE SAN checksum mismatch")
-    pos = 1
-    metadata = None
-    if layout.has_metadata:
-        metadata = _CHAR_INDEX[chars[pos]]
-        pos += 1
-    payload_chars = chars[pos:pos + layout.payload_chars]
-    pos += layout.payload_chars
-    if any(c != ALPHABET[0] for c in chars[pos:-1]):
-        raise EncodingError("nonzero padding in NOPE SAN payload")
-    return version, _decode_base37(payload_chars, layout.payload_bytes), metadata
-
-
-def encode_proof_chars(proof, metadata=0):
-    """Legacy (version 0) base-37 encoding of a raw 128-byte proof."""
-    if len(proof) != PROOF_BYTES:
-        raise EncodingError("proof must be %d bytes" % PROOF_BYTES)
-    return encode_payload_chars(proof, SAN_VERSION_LEGACY, metadata)
-
-
-def decode_proof_chars(chars):
-    """Inverse of :func:`encode_proof_chars`; returns (proof, metadata)."""
-    version, payload, metadata = decode_payload_chars(chars)
-    if version != SAN_VERSION_LEGACY:
-        raise EncodingError(
-            "expected a version 0 proof payload, got version %d" % version
-        )
-    return payload, metadata
-
-
-def _labels_to_sans(labels, domain):
-    """Distribute fixed-width labels over as few SANs as lengths allow."""
-    per_san = len(labels)
-    while per_san >= 1:
-        san_len = (
-            len(_prefix(0)) + 1 + per_san * (LABEL_LEN + 1) + len(domain)
-        )
-        if san_len <= MAX_SAN_LENGTH:
-            break
-        per_san -= 1
+    labels = [chars[i:i + LABEL_LEN] for i in range(0, len(chars), LABEL_LEN)]
+    # "n0pe." + k * "<label>." + domain must fit one name
+    per_san = (MAX_SAN_LENGTH - len(_prefix(0)) - 1 - len(domain)) // (
+        LABEL_LEN + 1
+    )
     if per_san < 1:
         raise EncodingError("domain too long for NOPE SAN encoding")
     sans = []
     for i in range(0, len(labels), per_san):
-        chunk = labels[i : i + per_san]
-        sans.append(".".join([_prefix(len(sans))] + chunk + [domain]))
+        sans.append(".".join([_prefix(len(sans))] + labels[i:i + per_san]
+                             + [domain]))
     return sans
-
-
-def encode_payload_sans(payload, domain, version, metadata=0):
-    """Encode a payload as one or more SAN hostnames for ``domain``."""
-    domain = domain.rstrip(".")
-    chars = encode_payload_chars(payload, version, metadata)
-    labels = [
-        chars[i : i + LABEL_LEN] for i in range(0, len(chars), LABEL_LEN)
-    ]
-    return _labels_to_sans(labels, domain)
-
-
-def encode_proof_sans(proof, domain, metadata=0):
-    """Legacy (version 0): encode a raw proof as SAN hostnames."""
-    return encode_payload_sans(proof, domain, SAN_VERSION_LEGACY, metadata)
 
 
 def is_nope_san(name):
@@ -251,17 +112,18 @@ def is_nope_san(name):
         len(label) == 4
         and label[0] == "n"
         and label[2:] == "pe"
-        and label[1].isdigit()
+        and label[1] in "0123456789"
     )
 
 
-def _collect_payload_chars(san_names, domain):
+def collect_chars(san_names, domain):
     """Strictly gather the payload characters addressed to ``domain``.
 
     A SAN contributes only if it is exactly
-    ``n<k>pe.<50-char base-37 label>...<domain>`` — every intermediate
-    label must be exactly :data:`LABEL_LEN` base-37 characters, so NOPE
-    SANs bound to a *subdomain* are skipped rather than absorbed.
+    ``n<k>pe.<50-char base-37 label>...<domain>``; NOPE SANs bound to a
+    *subdomain* are skipped rather than absorbed.  Fragments must be
+    numbered 0..k-1 with none repeated.  Returns ``(chars, names)``: the
+    concatenated labels and the SAN names they came from.
     """
     domain = domain.rstrip(".")
     suffix = "." + domain
@@ -272,53 +134,19 @@ def _collect_payload_chars(san_names, domain):
         parts = name[: -len(suffix)].split(".")
         labels = parts[1:]
         if not labels or any(
-            len(label) != LABEL_LEN
-            or any(c not in _CHAR_INDEX for c in label)
-            for label in labels
+            len(label) != LABEL_LEN or not is_base37(label) for label in labels
         ):
             continue  # a NOPE SAN for some other (sub)domain
         order = int(parts[0][1])
         if order in pieces:
             raise EncodingError("duplicate NOPE SAN fragment %d" % order)
-        pieces[order] = labels
+        pieces[order] = (name, labels)
     if not pieces:
         raise EncodingError("no NOPE SAN entries for %s" % domain)
-    labels = []
+    chars, names = [], []
     for order in range(len(pieces)):
         if order not in pieces:
             raise EncodingError("missing NOPE SAN fragment %d" % order)
-        labels.extend(pieces[order])
-    chars = "".join(labels)
-    version = _CHAR_INDEX.get(chars[0])
-    layout = SAN_LAYOUTS.get(version)
-    if layout is None:
-        raise EncodingError("unsupported NOPE SAN version %r" % chars[0])
-    if len(labels) != layout.num_labels:
-        raise EncodingError(
-            "version %d NOPE SAN set needs %d labels, found %d"
-            % (version, layout.num_labels, len(labels))
-        )
-    return chars
-
-
-def decode_payload_sans(san_names, domain):
-    """Extract any version's payload from a certificate's SAN list.
-
-    Returns ``(version, payload_bytes, metadata)``; raises EncodingError
-    if no complete, consistent NOPE encoding for ``domain`` is present.
-    """
-    return decode_payload_chars(_collect_payload_chars(san_names, domain))
-
-
-def decode_proof_sans(san_names, domain):
-    """Legacy (version 0) proof extraction; returns (proof, metadata).
-
-    Version 1 SAN sets carry a proof *envelope*; decode those through
-    :func:`repro.wire.extract_proof` instead.
-    """
-    version, payload, metadata = decode_payload_sans(san_names, domain)
-    if version != SAN_VERSION_LEGACY:
-        raise EncodingError(
-            "version %d NOPE SANs carry an envelope; use repro.wire" % version
-        )
-    return payload, metadata
+        names.append(pieces[order][0])
+        chars.extend(pieces[order][1])
+    return "".join(chars), names

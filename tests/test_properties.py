@@ -11,9 +11,22 @@ from repro.core.common import truncate_timestamp
 from repro.dns.name import DomainName
 from repro.dns.records import DnskeyData, DsData, ResourceRecord, RrsigData, TxtData, TYPE_TXT
 from repro.ec import TOY29
+from repro.errors import EncodingError
 from repro.groth16 import g1_from_bytes, g1_to_bytes
 from repro.x509.asn1 import DerReader, encode_integer, encode_octet_string, encode_sequence, read_tlv
-from repro.x509.san import decode_proof_chars, decode_proof_sans, encode_proof_chars, encode_proof_sans
+from repro.wire import (
+    KIND_GROTH16,
+    KIND_SIMULATION,
+    VERSION_PRODUCTION,
+    VERSION_TOY,
+    decode_envelope,
+    encode_envelope,
+    envelope_to_sans,
+    extract_proof,
+    seal,
+)
+from repro.wire.golden import _det_groth16_body
+from repro.x509.san import ALPHABET, checksum, encode_sans
 
 label_st = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12
@@ -38,20 +51,30 @@ def test_canonical_ordering_total(labels_a, labels_b):
     assert (a < b) + (b < a) + (a == b) == 1
 
 
-@given(st.binary(min_size=128, max_size=128), st.integers(min_value=0, max_value=36))
+def _sim_envelope(body, domain="prop.example", version=VERSION_TOY,
+                  managed=False):
+    return seal(KIND_SIMULATION, version, body, domain, managed=managed)
+
+
+@given(
+    st.binary(min_size=128, max_size=128),
+    st.sampled_from([VERSION_TOY, VERSION_PRODUCTION]),
+    st.booleans(),
+)
 @settings(max_examples=30, deadline=None)
-def test_san_chars_roundtrip(proof, metadata):
-    chars = encode_proof_chars(proof, metadata)
-    decoded, meta = decode_proof_chars(chars)
-    assert decoded == proof and meta == metadata
+def test_san_chars_roundtrip(body, version, managed):
+    env = _sim_envelope(body, version=version, managed=managed)
+    chars = encode_envelope(env)
+    assert len(chars) == 200
+    back = decode_envelope(chars, "prop.example")
+    assert back == env and back.nullifier == env.nullifier
 
 
 @given(st.binary(min_size=128, max_size=128))
 @settings(max_examples=20, deadline=None)
-def test_san_names_roundtrip(proof):
-    sans = encode_proof_sans(proof, "prop.example")
-    decoded, _ = decode_proof_sans(sans, "prop.example")
-    assert decoded == proof
+def test_san_names_roundtrip(body):
+    sans = envelope_to_sans(_sim_envelope(body))
+    assert extract_proof(sans, "prop.example").body == body
     for san in sans:
         assert len(san) <= 253
         for piece in san.split("."):
@@ -127,6 +150,70 @@ def test_der_octet_string_roundtrip(data):
     assert content == data and nxt == len(encode_octet_string(data))
 
 
+#: one SAN, and two SANs (three labels + one)
+_SAN_DOMAINS = ("prop.example", "a-rather-long-subdomain-name-here.victim.example")
+_G16_BODY = _det_groth16_body(b"prop")
+
+
+@st.composite
+def _mutated_san_sets(draw):
+    """A valid envelope's SAN set with at most one transport-level fault."""
+    domain = draw(st.sampled_from(_SAN_DOMAINS))
+    version = draw(st.sampled_from([VERSION_TOY, VERSION_PRODUCTION]))
+    managed = draw(st.booleans())
+    if draw(st.booleans()):
+        env = _sim_envelope(draw(st.binary(min_size=128, max_size=128)),
+                            domain, version, managed)
+    else:
+        env = seal(KIND_GROTH16, version, _G16_BODY, domain, managed)
+    chars = encode_envelope(env)
+    fault = draw(st.sampled_from([
+        "substitute", "version", "metadata", "transpose", "label",
+        "missing", "duplicate",
+    ]))
+    if fault in ("substitute", "version", "metadata"):
+        i = {"version": 0, "metadata": 1}.get(fault)
+        if i is None:
+            i = draw(st.integers(2, len(chars) - 1))
+        chars = chars[:i] + draw(st.sampled_from(ALPHABET)) + chars[i + 1:]
+        if draw(st.booleans()):  # a forger would fix the checksum up
+            chars = chars[:-1] + checksum(chars[:-1])
+    elif fault == "transpose":
+        i = draw(st.integers(0, len(chars) - 2))
+        j = draw(st.integers(i + 1, min(len(chars) - 1, i + 40)))
+        chars = chars[:i] + chars[j] + chars[i + 1:j] + chars[i] + chars[j + 1:]
+    sans = encode_sans(chars, domain)
+    k = draw(st.integers(0, len(sans) - 1))
+    if fault == "label":
+        parts = sans[k].split(".")
+        n_labels = len(parts) - 1 - len(domain.split("."))
+        li = draw(st.integers(1, n_labels))
+        if draw(st.booleans()):
+            parts[li] = parts[li][:-1]
+        else:
+            parts[li] += draw(st.sampled_from(ALPHABET))
+        sans[k] = ".".join(parts)
+    elif fault == "missing":
+        del sans[k]
+    elif fault == "duplicate":
+        sans.append(sans[k])
+    return sans, domain
+
+
+@given(_mutated_san_sets())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_san_set_decodes_canonically_or_refuses(case):
+    """Strict decoding of the single SAN layout: a SAN set either decodes
+    to an envelope that re-encodes to the identical SAN set, or raises
+    EncodingError — never a third outcome."""
+    sans, domain = case
+    try:
+        env = extract_proof(sans, domain).envelope
+    except EncodingError:
+        return
+    assert envelope_to_sans(env) == sans
+
+
 @given(st.binary(min_size=1, max_size=80), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=20, deadline=None)
 def test_rr_wire_roundtrip(rdata, ttl):
@@ -138,7 +225,6 @@ def test_rr_wire_roundtrip(rdata, ttl):
 def test_distinct_proofs_encode_distinctly():
     seen = set()
     for _ in range(50):
-        proof = secrets.token_bytes(128)
-        chars = encode_proof_chars(proof)
+        chars = encode_envelope(_sim_envelope(secrets.token_bytes(128)))
         assert chars not in seen
         seen.add(chars)

@@ -1,5 +1,5 @@
 """The wire layer: point-codec strictness, envelope framing, nullifier
-anti-reuse, SAN transport, golden vectors, and the end-to-end refusal of
+derivation, SAN transport, golden vectors, and the end-to-end refusal of
 proof envelopes lifted across domains or certificates."""
 
 import random
@@ -17,13 +17,7 @@ from repro.core import (
 )
 from repro.ec import TOY29
 from repro.ec.curves import BN254_G1, BN254_R
-from repro.errors import (
-    EncodingError,
-    NullifierError,
-    ProofError,
-    ProtocolError,
-    WireError,
-)
+from repro.errors import EncodingError, ProofError, ProtocolError, WireError
 from repro.field.extension import BN254_P
 from repro.groth16.keys import Proof
 from repro.groth16.serialize import (
@@ -48,23 +42,45 @@ from repro.wire import (
     decode_envelope,
     encode_envelope,
     envelope_from_sans,
-    envelope_size,
     envelope_to_sans,
     extract_proof,
     kind_for_backend,
     roundtrip_golden,
     seal,
-    statement_digest,
     version_for_profile,
 )
-from repro.x509.san import (
-    SAN_VERSION_ENVELOPE,
-    decode_payload_chars,
-    encode_payload_chars,
-    encode_payload_sans,
-    encode_proof_chars,
-    encode_proof_sans,
-)
+from repro.wire.envelope import ProofEnvelope
+from repro.x509.san import ALPHABET, checksum, encode_sans
+
+#: SAN sets of the retired layouts, from the format-v1 golden vectors: a
+#: version-1 envelope (seven labels) and a version-0 raw proof (four)
+RETIRED_V1_SANS = [
+    ".".join([
+        "n0pe",
+        "baa95ujxogq-ze26322zp97ponkrh1lj01r8qh4bre-nu10o6p",
+        "jnmtr4-a6nxh8rzhaxi1g8wwfhcnu4npwu60zmr1qtllehzpsf",
+        "wx963avsmf6zsffthy0s6-3vs8kei7hbbyphkrrc8aiyzgmax2",
+        "dc8gguqvzufjst2ijbo67p6-f1zn4j8-8jcal-v3egzr3-6-tg",
+        "example.com",
+    ]),
+    ".".join([
+        "n1pe",
+        "g4m-wtx2g81wyhpbz4pu4ptytdrc1oawadrsghp8q6j-qmyeey",
+        "7tcas1928gtzqsbyw54mrj54tv049iwvdidy4kl5n7nsudtyry",
+        "4rt4aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaq",
+        "example.com",
+    ]),
+]
+RETIRED_V0_SANS = [
+    ".".join([
+        "n0pe",
+        "aba77385bbnrpc4kq76gkfo5txsyyrbagc0klei9d8wps4ksnv",
+        "gq5tm-qgrh0bt7u8ltxhzjks37qtiva6ftoyjtlw9riff653xw",
+        "tza2mvz84eeqush5-gr64kxnzbs50-9v77kv7b009um0xecovt",
+        "5nlo1395ltdqgeajek4vdzgn1tzgy1u5qao2qkh0ym9hgwndrw",
+        "example.com",
+    ]),
+]
 
 
 def _g1(k):
@@ -80,10 +96,12 @@ def _proof_bytes(seed=7):
 
 
 def _sim_envelope(domain="example.com", body=b"\xab" * 128, managed=False):
-    return seal(
-        KIND_SIMULATION, VERSION_TOY, body, domain,
-        shape_id="toy/test", managed=managed,
-    )
+    return seal(KIND_SIMULATION, VERSION_TOY, body, domain, managed=managed)
+
+
+def _recheck(chars):
+    """``chars`` with its checksum char recomputed."""
+    return chars[:-1] + checksum(chars[:-1])
 
 
 class TestPointCodecs:
@@ -166,9 +184,10 @@ class TestPointCodecs:
 
 class TestEnvelope:
     def test_sizes(self):
-        assert envelope_size(128) == 197
+        # the paper's App. D geometry: 200 chars, one SAN for a short domain
         env = _sim_envelope()
-        assert len(encode_envelope(env)) == 197
+        assert len(encode_envelope(env)) == 200
+        assert [len(s) for s in envelope_to_sans(env)] == [220]
 
     def test_roundtrip(self):
         env = _sim_envelope(managed=True)
@@ -180,15 +199,14 @@ class TestEnvelope:
 
     def test_groth16_body_roundtrip(self):
         body = _proof_bytes()
-        env = seal(KIND_GROTH16, VERSION_TOY, body, "example.com",
-                   shape_id="toy/test")
+        env = seal(KIND_GROTH16, VERSION_TOY, body, "example.com")
         back = decode_envelope(encode_envelope(env), "example.com")
         assert back.body == body
 
     def test_decoded_proof_rides_the_envelope(self, monkeypatch):
         proof = Proof(_g1(7), _g2(8), _g1(9))
         env = seal(KIND_GROTH16, VERSION_TOY, proof_to_bytes(proof),
-                   "example.com", shape_id="toy/test")
+                   "example.com")
         assert env.proof == proof
         sans = envelope_to_sans(env)
         checks = []
@@ -202,64 +220,61 @@ class TestEnvelope:
         # the decoded value is what the backend verifies
         assert len(checks) == 1
         assert payload.proof == proof
-        legacy = extract_proof(
-            encode_proof_sans(proof_to_bytes(proof), "example.com"),
-            "example.com",
-        )
-        assert legacy.proof is None
 
     def test_seal_refuses_noncanonical_groth16(self):
         with pytest.raises(WireError):
-            seal(KIND_GROTH16, VERSION_TOY, b"\xff" * 128, "example.com",
-                 shape_id="toy/test")
+            seal(KIND_GROTH16, VERSION_TOY, b"\xff" * 128, "example.com")
 
     def test_seal_refuses_unknown_kind_and_version(self):
         with pytest.raises(WireError, match="unknown proof kind"):
-            seal(0x7F, 0, b"\x00" * 128, "example.com", shape_id="x")
+            seal(0x7F, 0, b"\x00" * 128, "example.com")
         with pytest.raises(WireError, match="version"):
-            seal(KIND_SIMULATION, 9, b"\x00" * 128, "example.com",
-                 shape_id="x")
+            seal(KIND_SIMULATION, 9, b"\x00" * 128, "example.com")
 
     def test_decode_rejects_every_malformed_class(self):
-        env = _sim_envelope()
-        data = bytearray(encode_envelope(env))
+        data = encode_envelope(_sim_envelope())
 
-        def mutated(index, value):
-            out = bytearray(data)
-            out[index] = value
-            return bytes(out)
+        def mutated(index, char):
+            return _recheck(data[:index] + char + data[index + 1:])
 
+        for version in "ab":  # the retired layouts are named, not guessed
+            with pytest.raises(WireError, match="unsupported NOPE SAN version"):
+                decode_envelope(mutated(0, version), "example.com")
         with pytest.raises(WireError, match="unknown proof kind"):
-            decode_envelope(mutated(0, 0xEE), "example.com")
-        with pytest.raises(WireError, match="version"):
-            decode_envelope(mutated(1, 0x09), "example.com")
-        with pytest.raises(WireError, match="reserved"):
-            decode_envelope(mutated(2, 0x80), "example.com")
-        with pytest.raises(WireError, match="truncated"):
-            decode_envelope(bytes(data[:10]), "example.com")
-        with pytest.raises(WireError, match="truncated"):
-            decode_envelope(bytes(data[:-1]), "example.com")
-        with pytest.raises(WireError, match="trailing"):
-            decode_envelope(bytes(data) + b"\x00", "example.com")
-        # body tamper: framing is fine, nullifier no longer matches
-        with pytest.raises(NullifierError):
-            decode_envelope(mutated(40, data[40] ^ 0x01), "example.com")
+            decode_envelope(mutated(1, ALPHABET[36]), "example.com")
+        with pytest.raises(WireError, match="200 base-37"):
+            decode_envelope(data[:-1], "example.com")
+        with pytest.raises(WireError, match="200 base-37"):
+            decode_envelope(data + "a", "example.com")
+        with pytest.raises(WireError, match="200 base-37"):
+            decode_envelope(data[:7] + "A" + data[8:], "example.com")
+        with pytest.raises(WireError, match="checksum"):
+            decode_envelope(data[:7] + ("a" if data[7] != "a" else "b")
+                            + data[8:], "example.com")
+        # 37^197 > 2^1024: the body digits can name a number too large
+        with pytest.raises(WireError, match="out of range"):
+            decode_envelope(_recheck(data[:2] + "-" * 198), "example.com")
+        # a groth16 body that is not three canonical points
+        g16 = encode_envelope(seal(KIND_GROTH16, VERSION_TOY, _proof_bytes(),
+                                   "example.com"))
+        with pytest.raises(WireError, match="groth16"):
+            decode_envelope(_recheck(g16[:2] + "a" * 198), "example.com")
+        # a body char with the checksum fixed up is another body, and so
+        # another nullifier
+        other = decode_envelope(mutated(40, "a" if data[40] != "a" else "b"),
+                                "example.com")
+        assert other.body != _sim_envelope().body
+        assert other.nullifier != _sim_envelope().nullifier
 
-    def test_cross_domain_lift_rejected(self):
+    def test_cross_domain_lift_changes_nullifier(self):
+        # the domain is not carried: the same chars decode under another
+        # domain, to another nullifier (the client's pairing refuses it)
         env = _sim_envelope("alpha.example")
         data = encode_envelope(env)
-        assert decode_envelope(data, "alpha.example").body == env.body
-        with pytest.raises(NullifierError):
-            decode_envelope(data, "beta.example")
-
-    def test_cross_domain_rejection_counted(self):
-        from repro.wire import NULLIFIER_REJECTED
-
-        env = _sim_envelope("alpha.example")
-        before = NULLIFIER_REJECTED.value
-        with pytest.raises(NullifierError):
-            decode_envelope(encode_envelope(env), "beta.example")
-        assert NULLIFIER_REJECTED.value == before + 1
+        lifted = decode_envelope(data, "beta.example")
+        assert lifted.body == env.body
+        assert lifted.nullifier != env.nullifier
+        assert lifted.nullifier == _sim_envelope("beta.example").nullifier
 
     def test_domain_normalization(self):
         env = _sim_envelope("Example.COM".lower())
@@ -270,14 +285,13 @@ class TestEnvelope:
 class TestNullifier:
     def test_binds_every_field(self):
         base = dict(kind=KIND_SIMULATION, version=VERSION_TOY, flags=0,
-                    statement=statement_digest("s"), domain="example.com",
-                    body=b"\x01" * 128)
+                    domain="example.com", body=b"\x01" * 128)
 
         def n(**over):
             params = dict(base, **over)
             return compute_nullifier(
                 params["kind"], params["version"], params["flags"],
-                params["statement"], params["domain"], params["body"],
+                params["domain"], params["body"],
             )
 
         reference = n()
@@ -285,14 +299,13 @@ class TestNullifier:
         assert n(kind=KIND_GROTH16) != reference
         assert n(version=VERSION_PRODUCTION) != reference
         assert n(flags=FLAG_MANAGED) != reference
-        assert n(statement=statement_digest("t")) != reference
         assert n(domain="other.example") != reference
         assert n(body=b"\x02" * 128) != reference
 
     def test_length_prefixed_domain(self):
         # ("ab", "c...") and ("a", "bc...") must differ
-        a = compute_nullifier(1, 0, 0, b"\x00" * 32, "ab", b"c" + b"\x00" * 127)
-        b = compute_nullifier(1, 0, 0, b"\x00" * 32, "a", b"bc" + b"\x00" * 126)
+        a = compute_nullifier(1, 0, 0, "ab", b"c" + b"\x00" * 127)
+        b = compute_nullifier(1, 0, 0, "a", b"bc" + b"\x00" * 126)
         assert a != b
 
     def test_registry_maps(self):
@@ -312,9 +325,9 @@ class TestSanTransport:
         sans = envelope_to_sans(env)
         assert len(sans) >= 1 and all(s.endswith(".example.com") for s in sans)
         payload = extract_proof(sans, "example.com")
-        assert payload.san_version == SAN_VERSION_ENVELOPE
         assert payload.body == env.body
         assert payload.nullifier == env.nullifier
+        assert payload.consumed == sans
         assert envelope_from_sans(sans, "example.com") == env
 
     def test_emit_under_wrong_domain_refused(self):
@@ -322,15 +335,24 @@ class TestSanTransport:
         with pytest.raises(WireError):
             envelope_to_sans(env, domain="beta.example")
 
-    def test_lifted_san_bytes_rejected(self):
-        # re-labeling alpha's envelope bytes under beta's SAN set is the
-        # cross-domain lift; the nullifier catches it at decode
-        env = _sim_envelope("alpha.example")
-        lifted = encode_payload_sans(
-            encode_envelope(env), "beta.example", SAN_VERSION_ENVELOPE
+    def test_lifted_san_bytes_rejected(self, world):
+        # re-labeling alpha's envelope chars under beta's SAN set is the
+        # cross-domain lift.  Nothing at decode can tell (the domain is not
+        # carried), so even an honest CA issues it; the client refuses it
+        # at the pairing, where the domain is a public input.
+        clock = world["clock"]
+        tls_key = EcdsaPrivateKey.generate(TOY29)
+        csr, envelopes = build_multi_domain_csr(
+            [world["p1"]], tls_key, world["ca"].org_name, clock.now()
         )
-        with pytest.raises(NullifierError):
-            extract_proof(lifted, "beta.example")
+        lifted = encode_sans(encode_envelope(envelopes[0]), "beta.example")
+        chain = world["ca"].issue(
+            "beta.example", csr.spki, ["beta.example"] + lifted
+        )
+        client, backend = make_client(world)
+        with pytest.raises(ProofError, match="NOPE proof rejected"):
+            client.verify_server("beta.example", chain, clock.now())
+        assert backend.verify_calls >= 1
 
     def test_subdomain_sans_not_absorbed(self):
         # the old endswith() bug: sub.example.com's NOPE SANs must never
@@ -343,9 +365,12 @@ class TestSanTransport:
         assert extract_proof(sans, "sub.example.com").body == env.body
 
     def test_legacy_subdomain_sans_not_absorbed(self):
-        sans = encode_proof_sans(b"\x05" * 128, "sub.example.com")
+        sans = [s.replace(".example.com", ".sub.example.com")
+                for s in RETIRED_V0_SANS]
         with pytest.raises(EncodingError, match="no NOPE SAN entries"):
             extract_proof(sans, "example.com")
+        with pytest.raises(WireError, match="unsupported NOPE SAN version"):
+            extract_proof(sans, "sub.example.com")
 
     def test_multi_domain_san_sets_disjoint(self):
         env_a = _sim_envelope("alpha.example", body=b"\x01" * 128)
@@ -356,32 +381,32 @@ class TestSanTransport:
         assert extract_proof(sans, "beta.example").body == env_b.body
 
     def test_missing_and_duplicate_fragments(self):
-        env = _sim_envelope()
+        domain = "a-rather-long-subdomain-name-here.victim.example"
+        env = _sim_envelope(domain)
         sans = envelope_to_sans(env)
-        with pytest.raises(EncodingError):
-            extract_proof(sans[:-1], "example.com")
+        assert len(sans) == 2
+        with pytest.raises(EncodingError, match="200 base-37"):
+            extract_proof(sans[:-1], domain)
+        with pytest.raises(EncodingError, match="missing"):
+            extract_proof(sans[1:], domain)
         with pytest.raises(EncodingError, match="duplicate"):
-            extract_proof(sans + [sans[-1]], "example.com")
+            extract_proof(sans + [sans[-1]], domain)
 
-    def test_legacy_v0_still_decodes(self):
-        proof = b"\x37" * 128
-        sans = encode_proof_sans(proof, "example.com", metadata=1)
-        payload = extract_proof(sans, "example.com")
-        assert payload.san_version == 0
-        assert payload.body == proof
-        assert payload.managed and payload.nullifier is None
-        with pytest.raises(WireError, match="legacy"):
-            envelope_from_sans(sans, "example.com")
+    def test_retired_san_versions_refused(self):
+        for sans in (RETIRED_V0_SANS, RETIRED_V1_SANS):
+            with pytest.raises(WireError, match="unsupported NOPE SAN version"):
+                extract_proof(sans, "example.com")
 
     def test_metadata_out_of_range_raises(self):
-        for bad in (-1, 37, 255):
-            with pytest.raises(EncodingError, match="metadata"):
-                encode_proof_chars(b"\x00" * 128, metadata=bad)
+        # kind * 4 + version * 2 + managed must fit one base-37 char
+        for kind, version in ((10, 0), (1, 2)):
+            env = ProofEnvelope(kind, version, 0, b"\x00" * 128,
+                                "example.com", None)
+            with pytest.raises(WireError, match="metadata"):
+                encode_envelope(env)
 
     def test_weighted_checksum_catches_transposition(self):
-        chars = encode_payload_chars(
-            encode_envelope(_sim_envelope()), SAN_VERSION_ENVELOPE
-        )
+        chars = encode_envelope(_sim_envelope())
         # find adjacent unequal payload characters and swap them
         for i in range(1, len(chars) - 2):
             if chars[i] != chars[i + 1]:
@@ -389,21 +414,7 @@ class TestSanTransport:
                            + chars[i + 2:])
                 break
         with pytest.raises(EncodingError, match="checksum"):
-            decode_payload_chars(swapped)
-
-    def test_nonzero_padding_rejected(self):
-        from repro.x509.san import SAN_LAYOUTS
-
-        layout = SAN_LAYOUTS[SAN_VERSION_ENVELOPE]
-        assert layout.padding_chars > 0
-        chars = encode_payload_chars(
-            encode_envelope(_sim_envelope()), SAN_VERSION_ENVELOPE
-        )
-        body = chars[:-1]
-        tampered = body[:-1] + "b"  # last padding char
-        tampered += layout.checksum(tampered)  # fix the checksum up
-        with pytest.raises(EncodingError, match="padding"):
-            decode_payload_chars(tampered)
+            decode_envelope(swapped, "example.com")
 
 
 class TestGoldenVectors:
@@ -431,7 +442,7 @@ class TestFuzzRoundtrips:
                 ))
                 kind = KIND_GROTH16
             env = seal(kind, VERSION_TOY, body, domain,
-                       shape_id="fuzz/%d" % i, managed=bool(i % 3 == 0))
+                       managed=bool(i % 3 == 0))
             data = encode_envelope(env)
             assert decode_envelope(data, domain) == env
             payload = extract_proof(envelope_to_sans(env), domain)
@@ -529,14 +540,12 @@ class TestEndToEnd:
     def test_honest_ca_refuses_orphaned_fragments(self, world):
         tls_key = EcdsaPrivateKey.generate(TOY29)
         env = _sim_envelope("gamma.example")
-        sans = ["alpha.example"] + encode_payload_sans(
-            encode_envelope(env), "alpha.example", SAN_VERSION_ENVELOPE
-        )
+        sans = ["alpha.example"] + envelope_to_sans(env)
         from repro.x509.cert import SubjectPublicKeyInfo
 
         spki = SubjectPublicKeyInfo(tls_key.public_key)
-        # the lifted bytes decode for no requested domain (nullifier was
-        # computed over gamma.example) -> the screen refuses
+        # the fragments are addressed to gamma.example, which the request
+        # does not name -> they decode for no requested domain
         with pytest.raises(ProtocolError, match="decode for no requested"):
             world["ca"].issue("alpha.example", spki, sans)
 
@@ -618,12 +627,9 @@ class TestEndToEnd:
         csr, envelopes = build_multi_domain_csr(
             [world["p1"]], tls_key, world["ca"].org_name, clock.now()
         )
-        # rebuild alpha's envelope bytes as SANs for beta.example and have
+        # rebuild alpha's envelope chars as SANs for beta.example and have
         # a compromised CA sign the franken-cert
-        lifted = encode_payload_sans(
-            encode_envelope(envelopes[0]), "beta.example",
-            SAN_VERSION_ENVELOPE,
-        )
+        lifted = encode_sans(encode_envelope(envelopes[0]), "beta.example")
         from repro.x509.cert import SubjectPublicKeyInfo
 
         world["ca"].compromised = True
@@ -634,6 +640,30 @@ class TestEndToEnd:
             )
         finally:
             world["ca"].compromised = False
-        client, _ = make_client(world)
-        with pytest.raises(ProofError, match="nullifier"):
-            client.verify_server("beta.example", chain, clock.now())
+        # the envelope decodes under beta.example (to beta's nullifier);
+        # the pairing refuses it, since the domain is a public input, and
+        # a cached client stores nothing for it
+        client, backend = make_client(world, VerificationCache())
+        for _ in range(2):
+            with pytest.raises(ProofError, match="NOPE proof rejected"):
+                client.verify_server("beta.example", chain, clock.now())
+        assert backend.verify_calls == 4  # both TS buckets, both visits
+
+    def test_envelope_version_must_match_client_profile(self, world):
+        # the body version names the profile: a toy client refuses a
+        # production-version envelope before any pairing
+        clock = world["clock"]
+        tls_key = EcdsaPrivateKey.generate(TOY29)
+        csr, envelopes = build_multi_domain_csr(
+            [world["p1"]], tls_key, world["ca"].org_name, clock.now()
+        )
+        env = envelopes[0]
+        relabeled = seal(env.kind, VERSION_PRODUCTION, env.body, env.domain)
+        chain = world["ca"].issue(
+            "alpha.example", csr.spki,
+            ["alpha.example"] + envelope_to_sans(relabeled),
+        )
+        client, backend = make_client(world)
+        with pytest.raises(ProofError, match="version 1 does not match"):
+            client.verify_server("alpha.example", chain, clock.now())
+        assert backend.verify_calls == 0

@@ -14,15 +14,10 @@ from repro.x509 import (
     Certificate,
     CertificateRequest,
     Name,
-    PROOF_BYTES,
     SubjectPublicKeyInfo,
     aia_ocsp_extension,
     basic_constraints_extension,
     chain_wire_size,
-    decode_proof_chars,
-    decode_proof_sans,
-    encode_proof_chars,
-    encode_proof_sans,
     hostname_matches,
     is_nope_san,
     key_usage_extension,
@@ -43,6 +38,10 @@ from repro.x509.asn1 import (
     encode_utctime,
     read_tlv,
 )
+from repro.wire import KIND_SIMULATION, VERSION_TOY, encode_envelope, extract_proof, seal
+from repro.wire.envelope import ENVELOPE_CHARS
+from repro.wire.golden import _det_groth16_body
+from repro.x509 import san
 
 
 class TestAsn1:
@@ -180,6 +179,66 @@ class TestCertificate:
         assert parsed.key == rsa.public_key
 
 
+def _mutants(der, count, seed):
+    """``count`` copies of ``der``, each with 1-4 bytes overwritten."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        buf = bytearray(der)
+        for _ in range(rng.randint(1, 4)):
+            buf[rng.randrange(len(buf))] = rng.randrange(256)
+        yield bytes(buf)
+
+
+class TestCanonicalDer:
+    """Untrusted certificates and CSRs decode only from the one canonical
+    DER of what they parse to; any other byte form raises."""
+
+    @staticmethod
+    def _csr():
+        csr = CertificateRequest.build(
+            "example.com", KEY.public_key, ["example.com", "www.example.com"]
+        )
+        return csr.sign(KEY)
+
+    @pytest.mark.parametrize("kind", ["certificate", "csr"])
+    def test_mutants_reencode_identically_or_raise(self, kind):
+        if kind == "certificate":
+            parse, der = Certificate.from_der, make_leaf(
+                make_ca_cert(), CA_KEY).to_der()
+        else:
+            parse, der = CertificateRequest.from_der, self._csr().to_der()
+        parsed_count = 0
+        for data in _mutants(der, 1500, seed=0x4445):
+            try:
+                parsed = parse(data)
+            except ReproError:
+                continue
+            parsed_count += 1
+            assert parsed.to_der() == data
+        # some mutants (payload bytes) still parse; the check is not vacuous
+        assert parsed_count > 0
+
+    def test_rewritten_tags_refused(self):
+        der = make_leaf(make_ca_cert(), CA_KEY).to_der()
+        # the explicit version INTEGER: a0 03 02 01 02 -> tag 0xd3
+        at = der.index(b"\xa0\x03\x02\x01\x02") + 2
+        # the subject CN UTF8String "example.com" -> tag 0x52
+        cn = der.index(b"\x0c\x0bexample.com")
+        for index, tag in ((at, 0xD3), (cn, 0x52)):
+            mutant = der[:index] + bytes([tag]) + der[index + 1:]
+            with pytest.raises(EncodingError, match="non-canonical"):
+                Certificate.from_der(mutant)
+        csr = self._csr().to_der()
+        cn = csr.index(b"\x0c\x0bexample.com")
+        with pytest.raises(EncodingError, match="non-canonical"):
+            CertificateRequest.from_der(csr[:cn] + b"\x52" + csr[cn + 1:])
+
+    def test_serials_have_one_der_length(self):
+        lengths = {len(encode_integer(Certificate.new_serial()))
+                   for _ in range(1000)}
+        assert lengths == {17}  # tag, length, 15 content bytes
+
+
 class TestCsr:
     def test_build_sign_verify_roundtrip(self):
         csr = CertificateRequest.build(
@@ -199,83 +258,98 @@ class TestCsr:
             csr.verify()
 
 
+def _payload(size=200):
+    """``size`` random base-37 chars (a stand-in for an envelope's text)."""
+    return "".join(secrets.choice(san.ALPHABET) for _ in range(size))
+
+
 class TestSanEncoding:
     def test_char_roundtrip(self):
-        proof = secrets.token_bytes(PROOF_BYTES)
-        chars = encode_proof_chars(proof, metadata=7)
-        assert len(chars) == 200
-        decoded, metadata = decode_proof_chars(chars)
-        assert decoded == proof
-        assert metadata == 7
+        body = secrets.token_bytes(128)
+        chars = san.encode_base37(body, 197)
+        assert len(chars) == 197
+        assert san.decode_base37(chars, 128) == body
 
     def test_paper_character_budget(self):
-        # 197 base-37 chars hold any 1024-bit value (paper App. D)
-        proof = b"\xff" * PROOF_BYTES
-        chars = encode_proof_chars(proof)
-        assert len(chars) == 197 + 3
+        # 197 base-37 chars hold any 1024-bit value (paper App. D), and
+        # version + metadata + body + checksum fill four whole labels
+        assert san.chars_for_bytes(128) == 197
+        assert san.encode_base37(b"\xff" * 128, 197)
+        assert ENVELOPE_CHARS == 197 + 3 == 4 * san.LABEL_LEN
 
     def test_checksum_detects_corruption(self):
-        proof = secrets.token_bytes(PROOF_BYTES)
-        chars = encode_proof_chars(proof)
-        bad = ("a" if chars[5] != "a" else "b")
+        chars = _payload(199)
+        bad = "a" if chars[5] != "a" else "b"
         corrupted = chars[:5] + bad + chars[6:]
-        with pytest.raises(EncodingError):
-            decode_proof_chars(corrupted)
+        assert san.checksum(corrupted) != san.checksum(chars)
 
     def test_san_roundtrip_short_domain(self):
-        proof = secrets.token_bytes(PROOF_BYTES)
-        sans = encode_proof_sans(proof, "example.com")
+        chars = _payload()
+        sans = san.encode_sans(chars, "example.com")
         assert len(sans) == 1
         assert sans[0].startswith("n0pe.")
         assert sans[0].endswith(".example.com")
         assert len(sans[0]) <= 253
-        decoded, _ = decode_proof_sans(sans + ["example.com"], "example.com")
-        assert decoded == proof
+        assert san.collect_chars(sans + ["example.com"], "example.com") == (
+            chars, sans
+        )
 
     def test_san_multi_fragment_long_domain(self):
         long_domain = ("a" * 40 + ".") * 2 + "example.com"
-        proof = secrets.token_bytes(PROOF_BYTES)
-        sans = encode_proof_sans(proof, long_domain)
+        chars = _payload()
+        sans = san.encode_sans(chars, long_domain)
         assert len(sans) >= 2
         assert sans[0].startswith("n0pe.") and sans[1].startswith("n1pe.")
-        decoded, _ = decode_proof_sans(sans, long_domain)
-        assert decoded == proof
+        assert all(len(s) <= 253 for s in sans)
+        assert san.collect_chars(sans, long_domain)[0] == chars
 
     def test_missing_fragment_detected(self):
         long_domain = ("a" * 40 + ".") * 2 + "example.com"
-        sans = encode_proof_sans(secrets.token_bytes(PROOF_BYTES), long_domain)
-        with pytest.raises(EncodingError):
-            decode_proof_sans(sans[:1], long_domain)
+        sans = san.encode_sans(_payload(), long_domain)
+        with pytest.raises(EncodingError, match="missing"):
+            san.collect_chars(sans[1:], long_domain)
 
     def test_metadata_out_of_range_rejected(self):
-        # metadata used to wrap silently (metadata % 37); now it must raise
-        proof = secrets.token_bytes(PROOF_BYTES)
-        for bad in (-1, 37, 1000):
-            with pytest.raises(EncodingError, match="metadata"):
-                encode_proof_chars(proof, metadata=bad)
-            with pytest.raises(EncodingError, match="metadata"):
-                encode_proof_sans(proof, "example.com", metadata=bad)
+        # kind * 4 + version * 2 + managed: only kinds 1-2 and versions
+        # 0-1 are assigned; every other metadata char is refused by name
+        # a body both kinds accept (three canonical points)
+        body = _det_groth16_body(b"meta")
+        text = encode_envelope(
+            seal(KIND_SIMULATION, VERSION_TOY, body, "example.com")
+        )
+        assigned = set()
+        for meta in san.ALPHABET:
+            chars = text[0] + meta + text[2:-1]
+            sans = san.encode_sans(chars + san.checksum(chars), "example.com")
+            try:
+                got = extract_proof(sans, "example.com").envelope
+            except EncodingError as exc:
+                assert "unknown proof kind" in str(exc) or "version" in str(exc)
+                continue
+            assigned.add((got.kind, got.version, got.managed))
+        assert assigned == {(k, v, m) for k in (1, 2) for v in (0, 1)
+                            for m in (False, True)}
 
     def test_subdomain_sans_not_absorbed_into_parent(self):
         # regression: decode for example.com used to absorb sub.example.com
         # fragments via endswith() and garble the payload
-        proof = secrets.token_bytes(PROOF_BYTES)
-        sub_sans = encode_proof_sans(proof, "sub.example.com")
+        chars = _payload()
+        sub_sans = san.encode_sans(chars, "sub.example.com")
         assert all(s.endswith(".example.com") for s in sub_sans)
         with pytest.raises(EncodingError):
-            decode_proof_sans(sub_sans, "example.com")
-        decoded, _ = decode_proof_sans(sub_sans, "sub.example.com")
-        assert decoded == proof
+            san.collect_chars(sub_sans, "example.com")
+        assert san.collect_chars(sub_sans, "sub.example.com")[0] == chars
 
     def test_is_nope_san(self):
         assert is_nope_san("n0pe.aaa.example.com")
         assert is_nope_san("n1pe.bbb.example.com")
         assert not is_nope_san("nope.example.com")
         assert not is_nope_san("example.com")
+        assert not is_nope_san("n\u00b2pe.aaa.example.com")
 
     def test_no_nope_entries(self):
         with pytest.raises(EncodingError):
-            decode_proof_sans(["example.com"], "example.com")
+            san.collect_chars(["example.com"], "example.com")
 
 
 class TestValidation:
