@@ -1,34 +1,19 @@
 """Supporting bench: the Groth16 back-end itself (setup/prove/verify).
 
 Verification cost is statement-size independent (the paper's Figure 4
-premise); proof size is always 128 bytes.
+premise); proof size is always 128 bytes.  A pytest-benchmark module::
 
-Run directly for the serial-vs-parallel engine comparison::
-
-    PYTHONPATH=src python benchmarks/bench_groth16.py [--smoke] [--workers N] [-m M]
-
-which reports prover wall-time on the shared serial engine and on a
-process-pool engine, and checks the two proofs are byte-identical.
+    PYTHONPATH=src python -m pytest benchmarks/bench_groth16.py
 """
 
 import pytest
 
-from repro import telemetry
 from repro.ec.curves import BN254_R
-from repro.engine import Engine, EngineConfig
 from repro.field import PrimeField
 from repro.groth16 import PROOF_SIZE, prepare, proof_to_bytes, prove, setup, verify
 from repro.r1cs import ConstraintSystem
-from repro.telemetry.bench import write_bench_record
-from repro.telemetry.clocks import perf
-from repro.telemetry.trace import span
 
 FR = PrimeField(BN254_R)
-
-#: --no-regress floor: a workers=N engine may not run meaningfully slower
-#: than serial.  Adaptive dispatch keeps undersized kernels serial, so the
-#: two runs should be near-identical; 0.98 absorbs timer noise only.
-NO_REGRESS_FLOOR = 0.98
 
 
 def chain_circuit(m):
@@ -39,6 +24,21 @@ def chain_circuit(m):
     for _ in range(m):
         acc = cs.mul(acc, acc + 1)
     return cs
+
+
+def replay(config):
+    """Run-certificate replay core: set up, prove and verify one chain
+    circuit with seeded randomness, so two executions agree bit-identically
+    (the timed benchmarks draw their CRS from ``secrets``)."""
+    import random
+
+    state = random.Random(config.get("seed", 1))
+    rng = lambda: state.randrange(1, BN254_R)
+    cs = chain_circuit(config.get("m", 64))
+    pk, vk, _ = setup(cs, rng=rng)
+    proof = prove(pk, cs, rng=rng)
+    verify(prepare(vk), proof, cs.public_inputs())
+    return {"proof_bytes": len(proof_to_bytes(proof))}
 
 
 @pytest.fixture(scope="module", params=[64, 1024], ids=["m=64", "m=1024"])
@@ -65,129 +65,3 @@ def test_proof_size(benchmark, keyed):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     _, _, _, proof = keyed
     assert len(proof_to_bytes(proof)) == PROOF_SIZE == 128
-
-
-def _fixed_rng():
-    vals = [123456789, 987654321]
-    return lambda: vals.pop(0)
-
-
-def compare_engines(m, workers, rounds=1, seed=None):
-    """Time the prover on the serial engine vs a workers=N pool engine.
-
-    Returns (serial_seconds, parallel_seconds, proof_bytes); raises if the
-    two engines disagree on the proof (they must be byte-identical — group
-    arithmetic is exact, so re-association cannot change the result).
-
-    ``seed`` pins the CRS and warm-up proof randomness to a private PRNG
-    (the timed proves already use fixed scalars), making the run's metric
-    counts — and therefore its run certificate — deterministically
-    replayable.  Unseeded runs keep the ``secrets`` default.
-    """
-    rng = None
-    if seed is not None:
-        import random
-
-        state = random.Random(seed)
-        rng = lambda: state.randrange(1, BN254_R)
-    cs = chain_circuit(m)
-    pk, vk, _ = setup(cs, rng=rng)
-    parallel = Engine(EngineConfig(workers=workers))
-    try:
-        # warm the prepared-key cache and the worker pool outside the timers
-        prove(pk, cs, rng=rng)
-        prove(pk, cs, rng=rng, engine=parallel)
-
-        with span("bench.prove.serial", m=m, rounds=rounds):
-            t0 = perf()
-            for _ in range(rounds):
-                p_serial = prove(pk, cs, rng=_fixed_rng())
-            serial_s = (perf() - t0) / rounds
-
-        with span("bench.prove.parallel", m=m, workers=workers, rounds=rounds):
-            t0 = perf()
-            for _ in range(rounds):
-                p_parallel = prove(pk, cs, rng=_fixed_rng(), engine=parallel)
-            parallel_s = (perf() - t0) / rounds
-
-        serial_bytes = proof_to_bytes(p_serial)
-        if serial_bytes != proof_to_bytes(p_parallel):
-            raise AssertionError("serial and parallel proofs differ")
-        verify(prepare(vk), p_parallel, cs.public_inputs())
-        return serial_s, parallel_s, serial_bytes
-    finally:
-        parallel.close()
-
-
-def replay(config):
-    """Deterministic re-execution core for run certificates (certs from
-    seeded runs replay strictly; unseeded ones only structurally)."""
-    m = config.get("m", 1024)
-    workers = config.get("workers", 2)
-    serial_s, parallel_s, proof_bytes = compare_engines(
-        m, workers, seed=config.get("seed")
-    )
-    return {
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s else float("inf"),
-        "proof_bytes": len(proof_bytes),
-    }
-
-
-def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Groth16 prover: serial vs parallel engine wall-time"
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small circuit, one round (CI-sized, ~30 s)",
-    )
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("-m", type=int, default=None,
-                        help="constraint-chain length (default 96 smoke / 1024)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="pin CRS/warm-up randomness (strict replay)")
-    parser.add_argument("--trace", action="store_true",
-                        help="enable span tracing and print the span tree")
-    parser.add_argument("--no-record", action="store_true",
-                        help="skip writing BENCH_groth16.json")
-    parser.add_argument(
-        "--no-regress", action="store_true",
-        help="fail (exit 1) unless the workers=N engine keeps speedup >= "
-             "%.2f — the adaptive-dispatch never-regress gate" % NO_REGRESS_FLOOR,
-    )
-    args = parser.parse_args(argv)
-
-    m = args.m or (96 if args.smoke else 1024)
-    if args.trace:
-        telemetry.enable()
-    serial_s, parallel_s, proof_bytes = compare_engines(
-        m, args.workers, seed=args.seed
-    )
-    speedup = serial_s / parallel_s if parallel_s else float("inf")
-    print(f"chain_circuit(m={m}), proof = {len(proof_bytes)} bytes")
-    print(f"  prove, serial engine:       {serial_s:8.3f} s")
-    print(f"  prove, workers={args.workers} engine:    {parallel_s:8.3f} s"
-          f"   ({speedup:.2f}x)")
-    print("  proofs byte-identical, verification passed")
-    if args.trace:
-        print()
-        print(telemetry.render_trace())
-    if not args.no_record:
-        config = {"m": m, "workers": args.workers, "smoke": args.smoke,
-                  "trace": args.trace, "seed": args.seed}
-        results = {"serial_s": serial_s, "parallel_s": parallel_s,
-                   "speedup": speedup, "proof_bytes": len(proof_bytes)}
-        print("wrote %s" % write_bench_record("groth16", config, results))
-    if args.no_regress and speedup < NO_REGRESS_FLOOR:
-        print("REGRESSION: workers=%d speedup %.3f < %.2f floor"
-              % (args.workers, speedup, NO_REGRESS_FLOOR))
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

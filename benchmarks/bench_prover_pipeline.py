@@ -10,20 +10,20 @@ reading a re-bound wire on later proofs.  The gate requires the warm
 compiled bind+evaluate stage to be at least 2x faster than the LC walk.
 
 A second, proving-key-sized circuit checks end-to-end proof parity: the
-legacy LC path, the compiled serial path, and a ``workers=2`` engine must
-produce byte-identical proofs for the same randomness.
+legacy LC path and the compiled path must produce byte-identical proofs
+for the same randomness.
 
 Run::
 
     PYTHONPATH=src python benchmarks/bench_prover_pipeline.py [--smoke]
-        [-m M] [--keyed-m M] [--workers N] [--rounds N]
+        [-m M] [--keyed-m M] [--rounds N]
 """
 
 import argparse
 
 from repro import telemetry
 from repro.ec.curves import BN254_R
-from repro.engine import Engine, EngineConfig
+from repro.engine import Engine
 from repro.field import PrimeField
 from repro.groth16 import (
     compute_h_coefficients,
@@ -115,28 +115,21 @@ def _seeded_rng(seed):
     return lambda: state.randrange(1, BN254_R)
 
 
-def check_proof_parity(keyed_m, workers, rng=None):
-    """Legacy LC, compiled serial, and compiled parallel proofs must be
-    byte-identical for the same randomness; returns the proof bytes."""
+def check_proof_parity(keyed_m, rng=None):
+    """Legacy LC and compiled proofs must be byte-identical for the same
+    randomness; returns the proof bytes."""
     cs = keyed_circuit(keyed_m)
     pk, vk, _ = setup(cs, rng=rng)
-    parallel = Engine(EngineConfig(workers=workers, min_parallel_rows=1))
-    try:
-        p_legacy = prove(pk, cs, rng=_fixed_rng(), use_compiled=False)
-        p_compiled = prove(pk, cs, rng=_fixed_rng())
-        p_parallel = prove(pk, cs, rng=_fixed_rng(), engine=parallel)
-        legacy_bytes = proof_to_bytes(p_legacy)
-        if proof_to_bytes(p_compiled) != legacy_bytes:
-            raise AssertionError("compiled proof differs from legacy LC proof")
-        if proof_to_bytes(p_parallel) != legacy_bytes:
-            raise AssertionError("parallel proof differs from serial proof")
-        verify(prepare(vk), p_compiled, cs.public_inputs())
-        return legacy_bytes
-    finally:
-        parallel.close()
+    p_legacy = prove(pk, cs, rng=_fixed_rng(), use_compiled=False)
+    p_compiled = prove(pk, cs, rng=_fixed_rng())
+    legacy_bytes = proof_to_bytes(p_legacy)
+    if proof_to_bytes(p_compiled) != legacy_bytes:
+        raise AssertionError("compiled proof differs from legacy LC proof")
+    verify(prepare(vk), p_compiled, cs.public_inputs())
+    return legacy_bytes
 
 
-def run(m, keyed_m, workers, rounds, seed=None):
+def run(m, keyed_m, rounds, seed=None):
     rng = _seeded_rng(seed)
     eng = Engine()
 
@@ -199,7 +192,7 @@ def run(m, keyed_m, workers, rounds, seed=None):
     prove_s = _best(lambda i: prove(pk, kcs, rng=_fixed_rng()), rounds)
     msm_s = max(prove_s - keyed_eval_s - keyed_fft_s, 0.0)
 
-    proof_bytes = check_proof_parity(keyed_m, workers, rng=rng)
+    proof_bytes = check_proof_parity(keyed_m, rng=rng)
 
     print(
         "statement-like circuit: m=%d constraints, nnz=%d (A+B+C)"
@@ -214,8 +207,7 @@ def run(m, keyed_m, workers, rounds, seed=None):
     print("keyed circuit: m=%d, proof = %d bytes" % (keyed_m, len(proof_bytes)))
     print("  prove, total:               %8.3f s" % prove_s)
     print("  msm + tail (residual):      %8.3f s" % msm_s)
-    print("proofs byte-identical across {legacy LC, compiled, workers=%d}"
-          % workers)
+    print("proofs byte-identical across {legacy LC, compiled}")
     results = {
         "m": compiled.num_constraints,
         "nnz": compiled.a.nnz + compiled.b.nnz + compiled.c.nnz,
@@ -279,10 +271,9 @@ def replay(config):
     """
     m = config.get("m", 20000)
     keyed_m = config.get("keyed_m", 512)
-    workers = config.get("workers", 2)
     rounds = config.get("rounds", 3)
-    with span("bench.prover_pipeline", m=m, keyed_m=keyed_m, workers=workers):
-        results = run(m, keyed_m, workers, rounds, seed=config.get("seed"))
+    with span("bench.prover_pipeline", m=m, keyed_m=keyed_m):
+        results = run(m, keyed_m, rounds, seed=config.get("seed"))
     if config.get("overhead_gate"):
         gate = overhead_gate(keyed_m, max(rounds, 3), limit=float("inf"),
                              seed=config.get("seed"))
@@ -303,7 +294,6 @@ def main(argv=None):
                              "(default 3000 smoke / 20000)")
     parser.add_argument("--keyed-m", type=int, default=None,
                         help="keyed-circuit chain length (default 96 / 512)")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seed", type=int, default=None,
                         help="pin CRS/warm-up randomness (strict replay)")
@@ -319,9 +309,8 @@ def main(argv=None):
     keyed_m = args.keyed_m or (96 if args.smoke else 512)
     if args.trace:
         telemetry.enable()
-    with span("bench.prover_pipeline", m=m, keyed_m=keyed_m,
-              workers=args.workers):
-        results = run(m, keyed_m, args.workers, args.rounds, seed=args.seed)
+    with span("bench.prover_pipeline", m=m, keyed_m=keyed_m):
+        results = run(m, keyed_m, args.rounds, seed=args.seed)
     if args.overhead_gate:
         gate = overhead_gate(keyed_m, max(args.rounds, 3), seed=args.seed)
         results["overhead_gate"] = {
@@ -332,9 +321,9 @@ def main(argv=None):
         print(telemetry.render_trace())
     if not args.no_record:
         config = {
-            "m": m, "keyed_m": keyed_m, "workers": args.workers,
-            "rounds": args.rounds, "smoke": args.smoke, "trace": args.trace,
-            "seed": args.seed, "overhead_gate": args.overhead_gate,
+            "m": m, "keyed_m": keyed_m, "rounds": args.rounds,
+            "smoke": args.smoke, "trace": args.trace, "seed": args.seed,
+            "overhead_gate": args.overhead_gate,
         }
         path = write_bench_record("prover_pipeline", config, results)
         print("wrote %s" % path)

@@ -1,5 +1,5 @@
-"""Verifier throughput: naive vs prepared vs batched vs batched+workers
-vs cached (proofs/sec), against the Fig. 4 single-verify baseline.
+"""Verifier throughput: naive vs prepared vs batched vs cached
+(proofs/sec), against the Fig. 4 single-verify baseline.
 
 The client-side verifier is the path a production deployment executes
 millions of times per day; this bench measures how far each layer of the
@@ -13,8 +13,6 @@ verifier stack moves it:
   beta/gamma/delta.
 - **batched**: ``verify_batch()`` — one random-linear-combination
   multi-pairing check, one final exponentiation per batch.
-- **batched+workers**: the same check with the batch's Miller loops
-  sliced across an ``EngineConfig(workers=N)`` process pool.
 - **cached**: a client :class:`~repro.core.VerificationCache` hit — a
   dictionary probe; what a repeat connection to the same server pays.
 
@@ -24,11 +22,11 @@ test vector, including tampered proofs — asserted before timing.
 Run::
 
     PYTHONPATH=src python benchmarks/bench_verify_throughput.py [--smoke]
-        [--batch N] [--workers N] [--rounds N] [--no-regress] [--no-record]
+        [--batch N] [--rounds N] [--no-regress] [--no-record]
 
 ``--no-regress`` holds this run's batched-vs-prepared speedup to >= 0.98x
 the checked-in ``BENCH_verify_throughput.json`` reference (the record's
-conservative per-round floor), mirroring ``bench_groth16.py``'s gate.
+conservative per-round floor).
 """
 
 import argparse
@@ -37,7 +35,6 @@ import os
 
 from repro import telemetry
 from repro.ec.curves import BN254_R
-from repro.engine import Engine, EngineConfig
 from repro.field import PrimeField
 from repro.groth16 import (
     Proof,
@@ -118,7 +115,7 @@ def tamper(proof):
     return Proof(2 * proof.a, proof.b, proof.c)
 
 
-def check_verdicts_identical(vk, pvk, proofs, publics, engines):
+def check_verdicts_identical(vk, pvk, proofs, publics):
     """Every path must agree with naive verify() on good AND tampered
     vectors; returns the number of vectors checked."""
     vectors = [(proofs[i], publics[i], True) for i in range(len(proofs))]
@@ -127,16 +124,15 @@ def check_verdicts_identical(vk, pvk, proofs, publics, engines):
     for proof, xs, expected in vectors:
         assert is_valid(vk, proof, xs) == expected, "naive verdict drifted"
         assert is_valid(pvk, proof, xs) == expected, "prepared != naive"
-    # batched paths: all-good batch, and a batch with one bad entry
-    for engine in engines:
-        assert batch_is_valid(pvk, proofs, publics, engine=engine)
-        bad_proofs = [tamper(p) if i == len(proofs) // 2 else p
-                      for i, p in enumerate(proofs)]
-        assert not batch_is_valid(pvk, bad_proofs, publics, engine=engine)
-        bad_publics = [list(xs) for xs in publics]
-        bad_publics[-1][0] += 1
-        assert not batch_is_valid(pvk, proofs, bad_publics, engine=engine)
-    return len(vectors) + 3 * len(engines)
+    # batched path: all-good batch, and a batch with one bad entry
+    assert batch_is_valid(pvk, proofs, publics)
+    bad_proofs = [tamper(p) if i == len(proofs) // 2 else p
+                  for i, p in enumerate(proofs)]
+    assert not batch_is_valid(pvk, bad_proofs, publics)
+    bad_publics = [list(xs) for xs in publics]
+    bad_publics[-1][0] += 1
+    assert not batch_is_valid(pvk, proofs, bad_publics)
+    return len(vectors) + 3
 
 
 def time_paths_interleaved(fns, batch_size, rounds):
@@ -179,72 +175,56 @@ def bench_cached_lookup(rounds=10000):
     return (perf() - t0) / rounds
 
 
-def run(batch_size, workers, rounds, seed=None):
+def run(batch_size, rounds, seed=None):
     print("generating %d proofs..." % batch_size)
     vk, proofs, publics = make_batch(batch_size, seed=seed)
     pvk = prepare(vk)
-    parallel = Engine(EngineConfig(workers=workers))
-    try:
-        checked = check_verdicts_identical(
-            vk, pvk, proofs, publics, engines=[None, parallel]
+    checked = check_verdicts_identical(vk, pvk, proofs, publics)
+    print("verdict parity: %d vectors identical across all paths" % checked)
+
+    def naive():
+        for proof, xs in zip(proofs, publics):
+            # a fresh PreparedVerifyingKey per call = the legacy
+            # no-precomputation cost (lines + alpha_beta re-derived)
+            assert is_valid(PreparedVerifyingKey(vk), proof, xs)
+
+    def prepared():
+        for proof, xs in zip(proofs, publics):
+            assert is_valid(pvk, proof, xs)
+
+    def batched():
+        assert batch_is_valid(pvk, proofs, publics)
+
+    with span("bench.verify.paths", batch=batch_size, rounds=rounds):
+        bests, rows = time_paths_interleaved(
+            [naive, prepared, batched], batch_size, rounds,
         )
-        print("verdict parity: %d vectors identical across all paths" % checked)
-
-        def naive():
-            for proof, xs in zip(proofs, publics):
-                # a fresh PreparedVerifyingKey per call = the legacy
-                # no-precomputation cost (lines + alpha_beta re-derived)
-                assert is_valid(PreparedVerifyingKey(vk), proof, xs)
-
-        def prepared():
-            for proof, xs in zip(proofs, publics):
-                assert is_valid(pvk, proof, xs)
-
-        def batched():
-            assert batch_is_valid(pvk, proofs, publics)
-
-        def batched_workers():
-            assert batch_is_valid(pvk, proofs, publics, engine=parallel)
-
-        batched_workers()  # warm the pool outside the timer
-        with span("bench.verify.paths", batch=batch_size, workers=workers,
-                  rounds=rounds):
-            bests, rows = time_paths_interleaved(
-                [naive, prepared, batched, batched_workers],
-                batch_size, rounds,
-            )
-        naive_s, prepared_pp, batched_pp, workers_pp = bests
-        results = [
-            ("naive verify()", naive_s),
-            ("prepared verify()", prepared_pp),
-            ("batched (N=%d)" % batch_size, batched_pp),
-            ("batched + workers=%d" % workers, workers_pp),
-            ("cached (client hit)", bench_cached_lookup()),
-        ]
-        baseline = results[0][1]
-        prepared_s = results[1][1]
-        batched_s = results[2][1]
-        print("\n%-24s %12s %12s %10s" % ("path", "s/proof", "proofs/sec", "speedup"))
-        for name, per_proof in results:
-            print("%-24s %12.6f %12.1f %9.1fx"
-                  % (name, per_proof, 1.0 / per_proof, baseline / per_proof))
-        batched_vs_per_proof = prepared_s / batched_s
-        # the gate reference: the WORST per-round ratio this run observed.
-        # Best-of composites flatter the headline; recording the floor
-        # gives --no-regress a reference a future (noisier) run can
-        # actually be held to without flaking on scheduler jitter.
-        ratio_floor = min(row[1] / row[2] for row in rows)
-        print("\nbatched vs per-proof verify() at N=%d: %.2fx "
-              "(per-round floor %.2fx)"
-              % (batch_size, batched_vs_per_proof, ratio_floor))
-        return batched_vs_per_proof, {
-            "batch": batch_size,
-            "per_proof_s": {name: s for name, s in results},
-            "batched_vs_prepared": batched_vs_per_proof,
-            "batched_vs_prepared_floor": ratio_floor,
-        }
-    finally:
-        parallel.close()
+    naive_s, prepared_pp, batched_pp = bests
+    results = [
+        ("naive verify()", naive_s),
+        ("prepared verify()", prepared_pp),
+        ("batched (N=%d)" % batch_size, batched_pp),
+        ("cached (client hit)", bench_cached_lookup()),
+    ]
+    print("\n%-24s %12s %12s %10s" % ("path", "s/proof", "proofs/sec", "speedup"))
+    for name, per_proof in results:
+        print("%-24s %12.6f %12.1f %9.1fx"
+              % (name, per_proof, 1.0 / per_proof, naive_s / per_proof))
+    batched_vs_per_proof = prepared_pp / batched_pp
+    # the gate reference: the WORST per-round ratio this run observed.
+    # Best-of composites flatter the headline; recording the floor
+    # gives --no-regress a reference a future (noisier) run can
+    # actually be held to without flaking on scheduler jitter.
+    ratio_floor = min(row[1] / row[2] for row in rows)
+    print("\nbatched vs per-proof verify() at N=%d: %.2fx "
+          "(per-round floor %.2fx)"
+          % (batch_size, batched_vs_per_proof, ratio_floor))
+    return batched_vs_per_proof, {
+        "batch": batch_size,
+        "per_proof_s": {name: s for name, s in results},
+        "batched_vs_prepared": batched_vs_per_proof,
+        "batched_vs_prepared_floor": ratio_floor,
+    }
 
 
 def replay(config):
@@ -252,7 +232,6 @@ def replay(config):
     seeded runs replay strictly; unseeded ones only structurally)."""
     _, results = run(
         config.get("batch", 16),
-        config.get("workers", 2),
         config.get("rounds", 3),
         seed=config.get("seed"),
     )
@@ -266,7 +245,6 @@ def main(argv=None):
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized run (fewer rounds, still batch 16)")
     parser.add_argument("--batch", type=int, default=16)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--rounds", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None,
                         help="pin CRS/proof randomness (strict replay)")
@@ -289,14 +267,13 @@ def main(argv=None):
         telemetry.enable()
     # the reference value must be read before write_bench_record replaces it
     reference = recorded_speedup()
-    speedup, results = run(args.batch, args.workers, rounds, seed=args.seed)
+    speedup, results = run(args.batch, rounds, seed=args.seed)
     if args.trace:
         print()
         print(telemetry.render_trace())
     if not args.no_record:
-        config = {"batch": args.batch, "workers": args.workers,
-                  "rounds": rounds, "smoke": args.smoke, "trace": args.trace,
-                  "seed": args.seed}
+        config = {"batch": args.batch, "rounds": rounds, "smoke": args.smoke,
+                  "trace": args.trace, "seed": args.seed}
         print("wrote %s"
               % write_bench_record("verify_throughput", config, results))
     if args.no_regress:

@@ -48,7 +48,7 @@ def main():
     print("  chain on the wire: %5d B (%.0f%% of the NOPE chain)" % (
         server.bandwidth(), 100.0 * server.bandwidth() / cert_bytes))
     print("  transparency: NO              revocation: NO")
-    print("\n(paper: NOPE proof 248 B ~ 9.7%% of a 2554 B chain; DCE 5870 B)")
+    print("\n(paper: NOPE proof 248 B ~ 9.7% of a 2554 B chain; DCE 5870 B)")
     print("note: toy keys shrink DNSSEC records below production sizes;")
     print("      benchmarks/bench_fig7_cert_sizes.py re-measures with")
     print("      production key sizes, where DCE costs ~1.7x the chain.")

@@ -4,15 +4,13 @@ Every performance-critical group/field kernel in the repro flows through
 this package: the group-generic Pippenger MSM (:mod:`repro.engine.msm`),
 cached-twiddle FFTs (:mod:`repro.engine.fft`), fixed-base table caches
 (:mod:`repro.engine.tables`), prepared proving keys
-(:mod:`repro.engine.prepared`), and the :class:`Engine` front-end that ties
-them together and owns the optional worker pool
-(:mod:`repro.engine.core`).
+(:mod:`repro.engine.prepared`), and the serial :class:`Engine` front-end
+that ties them together (:mod:`repro.engine.core`).
 
 Layering: ``engine`` sits above ``field``/``ec``/``pairing`` primitives and
 below ``groth16``/``core``.
 """
 
-from .config import EngineConfig
 from .core import DEFAULT_ENGINE, Engine, get_engine
 from .fft import (
     GENERATOR,
@@ -31,7 +29,6 @@ from .tables import FixedBaseTable
 
 __all__ = [
     "Engine",
-    "EngineConfig",
     "DEFAULT_ENGINE",
     "get_engine",
     "Group",

@@ -16,8 +16,7 @@ from ..telemetry import metrics as _metrics
 R = BN254_R
 
 #: one observation per forward transform (inverse/coset variants funnel
-#: through cached_fft, so they are counted too); recorded in whichever
-#: process runs the transform and shipped back from worker pools
+#: through cached_fft, so they are counted too)
 _FFT_SIZE = _metrics.histogram("fft.size")
 
 #: Multiplicative generator of Fr* (standard for BN254).
@@ -141,9 +140,5 @@ def cached_coset_ifft(values, omega, shift=GENERATOR):
 
 
 def coset_extend(evals, omega, shift=GENERATOR):
-    """Domain evaluations -> coset evaluations (IFFT then coset FFT).
-
-    Module-level so it can serve as a process-pool task for the prover's
-    three independent A/B/C polynomial transforms.
-    """
+    """Domain evaluations -> coset evaluations (IFFT then coset FFT)."""
     return cached_coset_fft(cached_ifft(evals, omega), omega, shift)

@@ -13,10 +13,6 @@ Two adapters cover every group in the repro:
 * :class:`OperatorGroup` — any operator-overloaded group (pairing
   ``G2Point``, affine ``Point``): elements and bases coincide, addition is
   ``+``, identity is whatever the caller supplies.
-
-Both are picklable (they hold only curve constants and memoized
-endomorphism data), so they can cross a process-pool boundary for the
-parallel MSM path.
 """
 
 from ..ec import curve as _c

@@ -22,13 +22,6 @@ The pre-refactor unsigned kernel is retained as :func:`msm_reference`: the
 parity suite pins the optimized kernels to its outputs (and to checked-in
 goldens generated from it), and the MSM kernel benchmark uses it as the
 "before" side of its before/after record.
-
-The parallel path slices the scalar *windows* across a process pool: the
-parent recodes the signed digits once, each worker computes the bucket sum
-of its windows, and the parent joins the per-window sums with shifted adds
-(``c`` doublings per window, Horner style).  Group arithmetic is exact, so
-the parallel join re-associates the same sum — serial and parallel results
-are identical.
 """
 
 import math
@@ -36,7 +29,6 @@ import math
 from ..telemetry import metrics as _metrics
 
 _WINDOW_TASKS = _metrics.counter("msm.window_tasks")
-_POOL_TASKS = _metrics.counter("pool.tasks")
 #: window width chosen per MSM call — the tuning histogram for _window_bits
 _WINDOW_BITS = _metrics.histogram("msm.window_bits", bounds=tuple(range(1, 17)))
 #: total bucket accumulation adds (nonzero signed digits) per process
@@ -136,35 +128,7 @@ def _window_sum_signed(group, bases, digits, half):
     return total
 
 
-def _windows_task(group, bases, cols, half):
-    """Pool worker: bucket sums for a slice of (window, digit-column) pairs."""
-    return [(w, _window_sum_signed(group, bases, digits, half)) for w, digits in cols]
-
-
-def _window_sums_parallel(pool, workers, group, bases, columns, half):
-    num_windows = len(columns)
-    slices = [
-        [(w, columns[w]) for w in range(i, num_windows, workers)]
-        for i in range(workers)
-    ]
-    futures = [
-        pool.submit(_metrics.run_with_delta, _windows_task, group, bases, s, half)
-        for s in slices
-        if s
-    ]
-    _POOL_TASKS.inc(len(futures))
-    # resolve every future before merging deltas: a raise here falls back
-    # to the serial path, which must not see partial worker counts
-    outs = [fut.result() for fut in futures]
-    sums = [None] * num_windows
-    for part, delta in outs:
-        _metrics.merge_delta(delta)
-        for w, ws in part:
-            sums[w] = ws
-    return sums
-
-
-def msm_generic(group, bases, scalars, pool=None, workers=1):
+def msm_generic(group, bases, scalars):
     """sum(k_i * P_i) over an arbitrary :class:`repro.engine.group.Group`.
 
     ``bases`` are in the group's base representation (affine tuples for
@@ -198,16 +162,9 @@ def msm_generic(group, bases, scalars, pool=None, workers=1):
     half = 1 << (c - 1)
     columns, bucket_adds = _digit_columns(scalars, c)
     num_windows = len(columns)
-    # counted here (not in the worker task) so serial and pool-sliced runs
-    # agree on the totals regardless of how the windows were dispatched
     _WINDOW_TASKS.inc(num_windows)
     _BUCKET_ADDS.inc(bucket_adds)
-    if pool is not None and workers > 1 and num_windows > 1:
-        sums = _window_sums_parallel(pool, workers, group, bases, columns, half)
-    else:
-        sums = [
-            _window_sum_signed(group, bases, digits, half) for digits in columns
-        ]
+    sums = [_window_sum_signed(group, bases, digits, half) for digits in columns]
     result = group.identity()
     for w in range(num_windows - 1, -1, -1):
         if not group.is_identity(result):

@@ -1,6 +1,7 @@
 """Groth16 zkSNARK over BN254: setup, prove, verify, 128-byte proofs."""
 
-from .fft import coset_fft, coset_ifft, domain_root, fft, ifft
+from ..engine.fft import domain_root
+from .fft import coset_fft, coset_ifft, fft, ifft
 from .keys import Proof, ProvingKey, ToxicWaste, VerifyingKey
 from .prove import compute_h_coefficients, evaluate_constraints, prove
 from .rerandomize import proof_in_groups, rerandomize

@@ -6,18 +6,12 @@ the evaluation domain; with a power-of-two domain (BN254's Fr has 2-adicity
 
 The hot path uses the cached-twiddle variants in :mod:`repro.engine.fft`
 (same transforms, memoized domain tables); the implementations here are the
-uncached reference the engine's property tests compare against.  Domain
-constants and ``domain_root`` are shared with the engine so the two can
-never diverge.
+uncached reference the engine's property tests compare against.  The
+coset shift ``GENERATOR`` is the engine's, so the two can never diverge.
 """
 
 from ..ec.curves import BN254_R
-from ..engine.fft import (  # noqa: F401  (re-exported compatibility names)
-    GENERATOR,
-    ROOT_OF_UNITY,
-    TWO_ADICITY,
-    domain_root,
-)
+from ..engine.fft import GENERATOR
 from ..errors import ProvingError
 
 R = BN254_R

@@ -14,7 +14,7 @@ are evaluated exactly once per proof, with the satisfaction check folded
 into the same pass (the legacy flow evaluated everything twice — once in
 ``check_satisfied`` and again here).  By default the evaluation runs on the
 engine's compiled circuit (flat CSR matrices, memoized by structure hash,
-optionally pool-parallel, and incremental across witness re-binds); pass
+and incremental across witness re-binds); pass
 ``use_compiled=False`` to take the LC-walk path, which produces the same
 evaluations and therefore byte-identical proofs.
 """
@@ -23,10 +23,10 @@ import secrets
 
 from ..ec.curves import BN254_R
 from ..engine import get_engine
+from ..engine.fft import GENERATOR, domain_root
 from ..errors import ProvingError
 from ..r1cs.system import unsatisfied_error
 from ..telemetry.trace import span as _span
-from .fft import GENERATOR, domain_root
 from .keys import Proof
 from .setup import _next_pow2
 
@@ -109,11 +109,10 @@ def prove(pk, system, rng=None, engine=None, use_compiled=True):
     """Produce a proof that ``system``'s assignment satisfies its R1CS.
 
     ``system`` is a fully synthesized ConstraintSystem (witness included).
-    ``engine`` selects the compute engine (serial default; a ``workers=N``
-    engine produces byte-identical proofs faster).  ``use_compiled``
-    selects the CSR evaluation path (default) or the legacy LC walk; both
-    evaluate every constraint at most once and yield identical proofs for
-    the same randomness.
+    ``engine`` selects the compute engine (``None`` = the default one).
+    ``use_compiled`` selects the CSR evaluation path (default) or the
+    legacy LC walk; both evaluate every constraint at most once and yield
+    identical proofs for the same randomness.
     """
     if system.counting_only:
         raise ProvingError("cannot prove a counting-only system")

@@ -15,10 +15,10 @@ import secrets
 from ..ec.curve import Point
 from ..ec.curves import BN254_G1, BN254_R
 from ..engine import get_engine
+from ..engine.fft import domain_root
 from ..errors import ProvingError
 from ..pairing.bn254 import G2Point, G2_GENERATOR
 from ..telemetry.trace import span as _span
-from .fft import domain_root
 from .keys import ProvingKey, ToxicWaste, VerifyingKey
 
 R = BN254_R

@@ -14,10 +14,6 @@ repeated-verification hot path cheap:
   (deterministic — no ``random`` anywhere in the check), paying one final
   exponentiation per batch instead of per proof.  A bisection fallback
   isolates the offending proof(s) when a batch fails.
-- With ``engine=Engine(EngineConfig(workers=N))`` the batch's per-proof
-  Miller loops are sliced across the engine's process pool; GT
-  multiplication is exact, so the parallel fold is byte-identical to
-  serial.
 """
 
 from ..ec.curves import BN254_R
@@ -160,11 +156,6 @@ def batch_coefficients(proofs, public_inputs_list):
     return coeffs
 
 
-def _batch_miller_slice(pairs):
-    """Pool worker: partial Miller-loop product for a slice of the batch."""
-    return multi_miller(pairs)
-
-
 def _batch_check(pvk, proofs, public_inputs_list, engine):
     """Whether the random-linear-combination multi-pairing equation holds.
 
@@ -211,16 +202,6 @@ def _batch_equation(eng, pvk, vk, proofs, public_inputs_list):
         (eng.msm_points([vk.alpha_g1], [scale]), pvk.beta_prepared),
     ]
     with _span("verify.pairing", batch=len(proofs)):
-        if eng.workers > 1 and len(ab_pairs) > 1:
-            # Slice the per-proof Miller loops across the pool; the prepared
-            # tail stays in-process (G2Prepared lines are large and already
-            # cheap to evaluate).
-            n_chunks = min(eng.workers, len(ab_pairs))
-            chunks = [ab_pairs[i::n_chunks] for i in range(n_chunks)]
-            f = multi_miller(tail)
-            for part in eng.map_chunks(_batch_miller_slice, chunks):
-                f = f * part
-            return final_exponentiation(f).is_one()
         return pairing_check(ab_pairs + tail)
 
 

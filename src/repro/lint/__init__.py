@@ -13,8 +13,8 @@ Two analyzers plus a reporting layer, gated in CI:
   the source tree: no ``random`` in signing/setup paths, no ``==`` on
   digest/MAC bytes, no floats in the arithmetic layers, no bare
   ``except``, no mutable default arguments, no raw proof wire primitives
-  outside the wire layers, no lazy-tower raw tuples outside the tower,
-  no worker-pool task that mutates state it does not own; alias-aware.
+  outside the wire layers, no lazy-tower raw tuples outside the tower;
+  alias-aware.
 
 Findings are identified by stable keys and compared against a checked-in
 baseline (``baseline.json``) so intentional constructions don't block CI;

@@ -44,14 +44,6 @@ Repo rules enforced (each a check name, keyed per file + enclosing scope):
   ``_from_raw``) outside ``field/extension.py``.  They return
   double-wide unreduced limb tuples that only the tower's boundary
   reducers may consume.  Severity: error.
-* ``impure-pool-task`` — a function shipped to a worker pool
-  (``pool.submit(task, ...)``, directly or through telemetry's
-  ``run_with_delta`` wrapper) that assigns a global, or stores into or
-  calls a mutator on state it does not own.  Worker writes never merge
-  back, so such a task would break the serial-vs-workers byte identity.
-  Submit sites and tasks may live in different modules, so tree runs
-  collect the shipped names across all files first.  ``telemetry/``
-  (the delta protocol itself) is exempt.  Severity: error.
 
 All checks are static and syntactic, but alias-aware: ``import random
 as r`` / ``from time import perf_counter as pc`` resolve through a
@@ -105,22 +97,6 @@ RAW_COMBINATORS = frozenset({
 
 #: the one module whose job is producing and consuming raw tower tuples
 RAW_HOME = "field/extension.py"
-
-#: call names that ship a function to a worker pool; the first argument
-#: (or the second, when the first is a delta wrapper) is the shipped task
-POOL_SUBMIT_NAMES = frozenset({"submit"})
-
-#: wrappers that forward to the real task (telemetry's delta protocol)
-POOL_DELTA_WRAPPERS = frozenset({"run_with_delta"})
-
-#: modules whose whole job is the delta-merge protocol itself
-PURITY_EXEMPT_PATHS = ("telemetry/",)
-
-#: method names that mutate their receiver in place
-_MUTATORS = frozenset({
-    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-    "add", "update", "setdefault", "discard", "write",
-})
 
 _IDENT = re.compile(r"[A-Za-z]+")
 
@@ -182,13 +158,6 @@ def _terminal_name(func):
     return None
 
 
-def _root_name(node):
-    """The base Name of an attribute/subscript chain, or None."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
 def _is_mutable_literal(node):
     if isinstance(node, (ast.List, ast.Dict, ast.Set)):
         return True
@@ -200,10 +169,9 @@ def _is_mutable_literal(node):
 class _Scope(ast.NodeVisitor):
     """Tracks the enclosing class/function qualname for stable keys."""
 
-    def __init__(self, relpath, findings, shipped_names):
+    def __init__(self, relpath, findings):
         self.relpath = relpath
         self.findings = findings
-        self.shipped_names = shipped_names
         self.stack = []
         self.loop_depth = 0
         self.in_crypto = relpath.startswith(CRYPTO_PATHS)
@@ -211,7 +179,6 @@ class _Scope(ast.NodeVisitor):
         self.clock_exempt = relpath.startswith(_CLOCK_EXEMPT_PATHS)
         self.wire_exempt = relpath.startswith(WIRE_ALLOWED_PATHS)
         self.raw_home = relpath == RAW_HOME
-        self.purity_exempt = relpath.startswith(PURITY_EXEMPT_PATHS)
         # alias resolution: `import random as r` / `from time import
         # perf_counter as pc` must not dodge the rules
         self.module_aliases = {}  # local name -> imported module name
@@ -278,8 +245,6 @@ class _Scope(ast.NodeVisitor):
     def _visit_function(self, node):
         self._check_defaults(node)
         self.stack.append(node.name)
-        if node.name in self.shipped_names and not self.purity_exempt:
-            self._check_purity(node)
         self.generic_visit(node)
         self.stack.pop()
 
@@ -439,92 +404,13 @@ class _Scope(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- worker-pool purity --------------------------------------------------
 
-    def _check_purity(self, node):
-        """A pool-shipped task must not mutate state it does not own:
-        the worker's copy-on-write memory never merges back, so any such
-        write diverges serial and parallel runs.  Telemetry metrics ride
-        the sanctioned delta protocol instead."""
-        local_names = set()
-        for arg in (
-            list(node.args.posonlyargs) + list(node.args.args)
-            + list(node.args.kwonlyargs)
-        ):
-            local_names.add(arg.arg)
-        for va in (node.args.vararg, node.args.kwarg):
-            if va is not None:
-                local_names.add(va.arg)
-        declared_global = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Global):
-                declared_global.update(sub.names)
-            elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-                local_names.add(sub.id)
-        local_names -= declared_global
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-                if sub.id in declared_global:
-                    self.add(
-                        "impure-pool-task", "error", sub,
-                        "pool task `%s` assigns global `%s`; worker-side "
-                        "writes never merge back (use the telemetry delta "
-                        "protocol or return the value)" % (node.name, sub.id),
-                    )
-            elif isinstance(sub, (ast.Attribute, ast.Subscript)) and isinstance(
-                sub.ctx, (ast.Store, ast.Del)
-            ):
-                root = _root_name(sub)
-                if root is not None and root not in local_names:
-                    self.add(
-                        "impure-pool-task", "error", sub,
-                        "pool task `%s` mutates non-local `%s`; worker-side "
-                        "writes never merge back" % (node.name, root),
-                    )
-            elif isinstance(sub, ast.Call):
-                name = _terminal_name(sub.func)
-                if name in _MUTATORS and isinstance(sub.func, ast.Attribute):
-                    root = _root_name(sub.func.value)
-                    if root is not None and root not in local_names:
-                        self.add(
-                            "impure-pool-task", "error", sub,
-                            "pool task `%s` calls `%s.%s(...)` on non-local "
-                            "state; worker-side writes never merge back"
-                            % (node.name, root, name),
-                        )
-
-
-def _shipped_names_in(tree):
-    """Names of functions this file ships to a worker pool."""
-    shipped = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if _terminal_name(node.func) not in POOL_SUBMIT_NAMES or not node.args:
-            continue
-        task = node.args[0]
-        if _terminal_name(task) in POOL_DELTA_WRAPPERS and len(node.args) > 1:
-            task = node.args[1]
-        name = _terminal_name(task)
-        if name is not None:
-            shipped.add(name)
-    return shipped
-
-
-def lint_source(source, relpath, shipped_names=None):
-    """Lint one file's source text; returns a list of Finding.
-
-    ``shipped_names`` are the function names shipped to worker pools;
-    when None they are discovered from this source alone (tree runs pass
-    the cross-file set, since tasks and their submit sites can live
-    apart).
-    """
+def lint_source(source, relpath):
+    """Lint one file's source text; returns a list of Finding."""
     relpath = relpath.replace(os.sep, "/")
     tree = ast.parse(source, filename=relpath)
-    if shipped_names is None:
-        shipped_names = _shipped_names_in(tree)
     findings = []
-    _Scope(relpath, findings, shipped_names).visit(tree)
+    _Scope(relpath, findings).visit(tree)
     return findings
 
 
@@ -539,23 +425,11 @@ def _walk_py(root):
 
 
 def _lint_files(files):
-    """Lint ``(relpath, path)`` pairs as one program.
-
-    Two phases: every file is parsed first to collect the names shipped
-    to worker pools (``coset_extend`` is shipped in ``engine/core.py``
-    but defined in ``engine/fft.py``), then each file is linted against
-    that shared set.
-    """
-    trees = []
-    shipped = set()
+    """Lint ``(relpath, path)`` pairs; returns a list of Finding."""
+    findings = []
     for relpath, path in files:
         with open(path, "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=relpath)
-        trees.append((relpath, tree))
-        shipped |= _shipped_names_in(tree)
-    findings = []
-    for relpath, tree in trees:
-        _Scope(relpath, findings, shipped).visit(tree)
+            findings.extend(lint_source(fh.read(), relpath))
     return findings
 
 
@@ -573,7 +447,7 @@ def lint_paths(paths):
     """Lint explicit files or directories (fixtures, ad-hoc runs).
 
     Keys use the final two path components (``lint_fixtures/
-    impure_pool_task.py``), so they stay stable wherever the checkout
+    leak_wire_bytes.py``), so they stay stable wherever the checkout
     lives.
     """
     files = []

@@ -28,9 +28,7 @@ Two further structures are derived from the CSR arrays:
 
 Evaluation is structure-only state: one ``CompiledCircuit`` (memoized by
 ``structure_hash()`` in :mod:`repro.engine.prepared`) serves every witness
-for its circuit.  Row slices are picklable, so the engine can fan a full
-evaluation out across its process pool; chunked results concatenate in row
-order and are byte-identical to serial evaluation.
+for its circuit.
 """
 
 from operator import mul
@@ -121,26 +119,6 @@ def _eval_row_slice(rows, values, p):
     return out
 
 
-def eval_rows(payload):
-    """Evaluate a row slice of all three matrices (process-pool task).
-
-    ``payload`` is ``(rows_a, rows_b, rows_c, values, modulus, base)``.
-    Returns ``(a_evals, b_evals, c_evals, bad)`` where ``bad`` is ``None``
-    or ``(absolute_row, av, bv, cv)`` for the first row in this slice that
-    violates ``a * b = c``.
-    """
-    rows_a, rows_b, rows_c, values, p, base = payload
-    a_evals = _eval_row_slice(rows_a, values, p)
-    b_evals = _eval_row_slice(rows_b, values, p)
-    c_evals = _eval_row_slice(rows_c, values, p)
-    bad = None
-    for i, (av, bv, cv) in enumerate(zip(a_evals, b_evals, c_evals)):
-        if av * bv % p != cv:
-            bad = (base + i, av, bv, cv)
-            break
-    return a_evals, b_evals, c_evals, bad
-
-
 class CompiledCircuit:
     """CSR-lowered structure of a synthesized constraint system."""
 
@@ -181,45 +159,18 @@ class CompiledCircuit:
 
     # -- full evaluation ------------------------------------------------------
 
-    def chunk_payloads(self, values, n_chunks):
-        """Split the rows into ``n_chunks`` :func:`eval_rows` payloads."""
-        m = self.num_constraints
-        n_chunks = max(1, min(n_chunks, m))
-        step = -(-m // n_chunks)  # ceil
-        payloads = []
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            payloads.append(
-                (
-                    self.a.rows[lo:hi],
-                    self.b.rows[lo:hi],
-                    self.c.rows[lo:hi],
-                    values,
-                    self.modulus,
-                    lo,
-                )
-            )
-        return payloads
-
-    def merge_chunks(self, parts):
-        """Concatenate :func:`eval_rows` results (row order preserved) and
-        raise on the first failing row; byte-identical to serial."""
-        a_evals = []
-        b_evals = []
-        c_evals = []
-        for part_a, part_b, part_c, bad in parts:
-            if bad is not None:
-                self._raise_unsatisfied(*bad)
-            a_evals += part_a
-            b_evals += part_b
-            c_evals += part_c
-        return a_evals, b_evals, c_evals
-
     def evaluate(self, values):
         """One pass over the CSR rows: ``(a_evals, b_evals, c_evals)`` plus
         the satisfaction check (raises UnsatisfiedError like
         ``check_satisfied``)."""
-        return self.merge_chunks([eval_rows(self.chunk_payloads(values, 1)[0])])
+        p = self.modulus
+        a_evals = _eval_row_slice(self.a.rows, values, p)
+        b_evals = _eval_row_slice(self.b.rows, values, p)
+        c_evals = _eval_row_slice(self.c.rows, values, p)
+        for i, (av, bv, cv) in enumerate(zip(a_evals, b_evals, c_evals)):
+            if av * bv % p != cv:
+                self._raise_unsatisfied(i, av, bv, cv)
+        return a_evals, b_evals, c_evals
 
     # -- incremental re-evaluation ---------------------------------------------
 

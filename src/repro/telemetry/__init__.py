@@ -5,9 +5,7 @@ A zero-dependency observability layer with three parts:
 * **spans** (:mod:`.trace`) — hierarchical wall + CPU timing, off by
   default with a near-free no-op path; ``enable()`` turns recording on;
 * **metrics** (:mod:`.metrics`) — always-on counters, gauges, and
-  fixed-bucket histograms in a process-global registry, with deltas
-  shipped back from the engine's worker pools so serial and parallel runs
-  agree on totals;
+  fixed-bucket histograms in a process-global registry;
 * **exporters** (:mod:`.export`, :mod:`.bench`) — the human span tree,
   JSON ``BENCH_<name>.json`` records, and Prometheus-style text.
 

@@ -6,11 +6,10 @@ canonical, hash-committed JSON document binding everything a reader needs
 to re-verify the run's claims:
 
 * the bench name, its full config, and the git revision;
-* an environment fingerprint (python version, worker count);
+* an environment fingerprint (the python version);
 * the SHA-256 of the canonical record (``record_digest``);
-* the SHA-256 of the run's ``metrics_signature`` (count-valued metrics,
-  ``pool.*`` dispatch counters excluded) and ``trace_signature``
-  (span names/nesting/attributes — never timings);
+* the SHA-256 of the run's ``metrics_signature`` (count-valued metrics)
+  and ``trace_signature`` (span names/nesting/attributes — never timings);
 * the headline results, the extracted count metrics, and the extracted
   wall-time results.
 
@@ -46,7 +45,7 @@ import os
 import sys
 
 from .bench import build_record
-from .export import SIGNATURE_EXCLUDE_PREFIXES, metrics_signature, render_span_tree
+from .export import metrics_signature, render_span_tree
 
 CERT_SCHEMA_VERSION = 1
 
@@ -127,8 +126,7 @@ def trace_signature_text(record):
 def metrics_signature_text(record):
     """The count-metric rendering of a record's ``metrics`` snapshot.
 
-    Delegates to :func:`repro.telemetry.export.metrics_signature`, which
-    already excludes the ``pool.*`` dispatch counters; every remaining
+    Delegates to :func:`repro.telemetry.export.metrics_signature`; every
     metric in this codebase is count-valued (sizes, calls, constraint
     counts), never a wall-time, which is what makes the signature
     replayable bit-identically under a fake clock.
@@ -137,12 +135,10 @@ def metrics_signature_text(record):
 
 
 def extract_counts(metrics_snapshot):
-    """The trajectory-gated view of a metrics snapshot: every non-pool
+    """The trajectory-gated view of a metrics snapshot: every
     counter/gauge value, and each histogram's count/sum/bucket vector."""
     counts = {}
     for name in sorted(metrics_snapshot):
-        if name.startswith(SIGNATURE_EXCLUDE_PREFIXES):
-            continue
         value = metrics_snapshot[name]
         if isinstance(value, dict):
             counts[name] = {
@@ -186,14 +182,10 @@ def extract_timings(results, prefix="", inherited=False):
     return timings
 
 
-def environment_fingerprint(config):
-    """What the run's numbers depend on besides the code and config:
-    python version and the worker count."""
-    workers = config.get("workers", 0)
-    return {
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "workers": int(workers) if isinstance(workers, int) else 0,
-    }
+def environment_fingerprint():
+    """What the run's numbers depend on besides the code and config: the
+    python version."""
+    return {"python": "%d.%d.%d" % sys.version_info[:3]}
 
 
 def _bench_module(name):
@@ -232,7 +224,7 @@ def build_certificate(record, prev=GENESIS, gate=None, replay=None):
         "bench": name,
         "git_rev": record.get("git_rev", "unknown"),
         "created_unix": record.get("created_unix", 0),
-        "environment": environment_fingerprint(config),
+        "environment": environment_fingerprint(),
         "config": dict(config),
         "results": record.get("results", {}),
         "record_digest": sha256_hex(canonical_json(record)),

@@ -10,20 +10,14 @@ Three renderings of the same data:
   scraping a long-running process.
 
 :func:`trace_signature` and :func:`metrics_signature` are the structural
-views used by the serial-vs-parallel determinism gates: span names,
-nesting, attributes, and metric totals with timing values and the
-dispatch-counting ``pool.*`` metrics stripped out.  Two runs of the same
-computation must produce byte-identical signatures regardless of
-``EngineConfig(workers=N)``.
+views used by the determinism gates: span names, nesting, attributes, and
+metric totals with timing values stripped out.  Two runs of the same
+computation must produce byte-identical signatures.
 """
 
 import re
 
 _PROM_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
-
-#: metric-name prefixes excluded from structural signatures: they count
-#: pool dispatches, which legitimately differ between serial and parallel
-SIGNATURE_EXCLUDE_PREFIXES = ("pool.",)
 
 
 def _fmt_seconds(value):
@@ -96,11 +90,9 @@ def trace_signature(spans):
 
 
 def metrics_signature(snapshot):
-    """Deterministic rendering of a metrics snapshot (``pool.*`` excluded)."""
+    """Deterministic rendering of a metrics snapshot."""
     lines = []
     for name in sorted(snapshot):
-        if name.startswith(SIGNATURE_EXCLUDE_PREFIXES):
-            continue
         value = snapshot[name]
         if isinstance(value, dict):
             lines.append(

@@ -5,18 +5,9 @@ object, cheap enough that the hot kernels (one observation per MSM or FFT
 call, never per row) carry no disable switch.  Only tracing spans — which
 allocate and keep records — are gated behind :func:`repro.telemetry.enable`.
 
-Worker-pool aggregation
------------------------
-
-The engine's process pools run kernels (``coset_extend``, ``eval_rows``,
-window-sliced MSM tasks) in child processes whose registries the parent
-cannot see.  Pool sites therefore submit tasks through
-:func:`run_with_delta`, which snapshots the child registry around the task
-and ships the *delta* back alongside the result; the parent merges it with
-:func:`merge_delta`.  Serial and ``workers=N`` runs of the same computation
-thus agree on every compute-metric total.  The ``pool.*`` metrics count
-dispatches themselves and legitimately differ between modes; structural
-trace comparisons exclude them (see ``export.metrics_signature``).
+:meth:`MetricsRegistry.delta_since` reports what changed since a
+:meth:`~MetricsRegistry.snapshot`, so a caller can charge the metrics of
+one operation to it.
 """
 
 import threading
@@ -86,7 +77,7 @@ class Histogram:
 
     ``bounds`` are inclusive upper bounds; one overflow bucket catches
     everything above the last bound.  Buckets are fixed at construction so
-    snapshots and worker deltas are plain lists that merge elementwise.
+    snapshots and deltas are plain lists that subtract elementwise.
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
@@ -178,14 +169,14 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             metric.reset()
 
-    # -- worker-delta plumbing -------------------------------------------------
+    # -- deltas ----------------------------------------------------------------
 
     def delta_since(self, before):
         """What changed since a :meth:`snapshot`; {} when nothing did.
 
-        Counters and histogram counts subtract; histogram min/max ship the
-        current values (idempotent under min/max merge); gauges ship the
-        new value only when it changed.
+        Counters and histogram counts subtract; histogram min/max report
+        the current values; gauges report the new value only when it
+        changed.
         """
         delta = {}
         for name, metric in self._metrics.items():
@@ -217,28 +208,6 @@ class MetricsRegistry:
                     )
         return delta
 
-    def merge(self, delta):
-        """Fold a :meth:`delta_since` dict from a worker into this registry."""
-        for name, (kind, value) in delta.items():
-            if kind == "counter":
-                self.counter(name).inc(value)
-            elif kind == "gauge":
-                self.gauge(name).set(value)
-            else:
-                hist = self.histogram(name, tuple(value["bounds"]))
-                for i, c in enumerate(value["buckets"]):
-                    hist.counts[i] += c
-                hist.count += value["count"]
-                hist.total += value["sum"]
-                if value["min"] is not None and (
-                    hist.min is None or value["min"] < hist.min
-                ):
-                    hist.min = value["min"]
-                if value["max"] is not None and (
-                    hist.max is None or value["max"] > hist.max
-                ):
-                    hist.max = value["max"]
-
 
 #: the process-global registry every instrumented module records into
 REGISTRY = MetricsRegistry()
@@ -262,20 +231,3 @@ def snapshot():
 
 def reset():
     REGISTRY.reset()
-
-
-def run_with_delta(fn, *args):
-    """Process-pool shim: ``(fn(*args), registry delta from the task)``.
-
-    Module-level (hence picklable by reference); the submitted ``fn`` must
-    itself be picklable, exactly as for a bare ``pool.submit(fn, *args)``.
-    """
-    before = REGISTRY.snapshot()
-    result = fn(*args)
-    return result, REGISTRY.delta_since(before)
-
-
-def merge_delta(delta):
-    """Fold a worker's shipped delta into the parent registry."""
-    if delta:
-        REGISTRY.merge(delta)

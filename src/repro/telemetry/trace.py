@@ -15,11 +15,6 @@ prover below 5%.
 Time flows through :mod:`repro.telemetry.clocks`, so installing a
 ``repro.clock.FakeClock`` makes every span duration deterministic.
 
-Spans are recorded only in the process that opens them; worker processes
-ship metric deltas (see :mod:`repro.telemetry.metrics`) but no spans, which
-is what keeps enabled traces structurally identical between serial and
-``workers=N`` runs.
-
 An optional cProfile capture hook (``enable(profile=True)`` plus
 ``span(name, profile=True)``) attaches a profiler to chosen spans and
 stores the top of the cumulative-time table in the span's attributes.

@@ -89,15 +89,13 @@ class TestCanonicalDigests:
 
 
 class TestExtraction:
-    def test_extract_counts_excludes_pool_and_keeps_histograms(self):
+    def test_extract_counts_keeps_histograms(self):
         snapshot = {
             "msm.calls": 4,
-            "pool.tasks": 7,
             "fft.size": {"count": 2, "sum": 48, "min": 16, "max": 32,
                          "buckets": [1, 1], "bounds": [16]},
         }
         counts = ct.extract_counts(snapshot)
-        assert "pool.tasks" not in counts
         assert counts["msm.calls"] == 4
         assert counts["fft.size"] == {"count": 2, "sum": 48, "buckets": [1, 1]}
 

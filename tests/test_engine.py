@@ -2,9 +2,8 @@
 
 Covers: the generic MSM against naive scalar-mul sums on G1 *and* G2,
 cached-twiddle FFT/IFFT round-trips against the uncached reference,
-byte-identical proofs across serial and workers=2 engines, fixed-base
-table caching, prepared-proving-key memoization, and the synthesize-once /
-bind-per-proof split in the NOPE prover."""
+fixed-base table caching, prepared-proving-key memoization, and the
+synthesize-once / bind-per-proof split in the NOPE prover."""
 
 import random
 
@@ -15,7 +14,6 @@ from repro.ec.curve import Point
 from repro.engine import (
     DEFAULT_ENGINE,
     Engine,
-    EngineConfig,
     FixedBaseTable,
     cached_coset_fft,
     cached_coset_ifft,
@@ -33,7 +31,6 @@ from repro.groth16 import (
     fft,
     ifft,
     prepare,
-    proof_to_bytes,
     prove,
     setup,
     verify,
@@ -155,53 +152,12 @@ def _chain_circuit(m):
     return cs
 
 
-class TestParallelEngine:
-    def test_serial_and_parallel_proofs_are_byte_identical(self):
-        cs = _chain_circuit(48)
-        pk, vk, _ = setup(cs)
-
-        def fixed_rng_factory():
-            vals = [123456789, 987654321]
-            return lambda: vals.pop(0)
-
-        parallel = Engine(EngineConfig(workers=2, min_parallel_msm=1))
-        try:
-            p_serial = prove(pk, cs, rng=fixed_rng_factory())
-            p_parallel = prove(pk, cs, rng=fixed_rng_factory(), engine=parallel)
-            assert proof_to_bytes(p_serial) == proof_to_bytes(p_parallel)
-            p_again = prove(pk, cs, rng=fixed_rng_factory())
-            assert proof_to_bytes(p_again) == proof_to_bytes(p_serial)
-            verify(prepare(vk), p_parallel, cs.public_inputs())
-        finally:
-            parallel.close()
-
-    def test_closed_engine_falls_back_to_serial(self):
-        eng = Engine(EngineConfig(workers=2, min_parallel_msm=1))
-        eng.close()
-        cs = _chain_circuit(8)
-        pk, vk, _ = setup(cs, engine=eng)
-        proof = prove(pk, cs, engine=eng)
-        verify(prepare(vk), proof, cs.public_inputs())
-
+class TestEngine:
     def test_get_engine_default(self):
         assert get_engine() is DEFAULT_ENGINE
         eng = Engine()
         assert get_engine(eng) is eng
-
-    def test_map_chunks_serial_matches_parallel(self):
-        chunks = [[1, 2], [3, 4], [5]]
-        expected = [sum(c) for c in chunks]
-        assert DEFAULT_ENGINE.map_chunks(sum, chunks) == expected
-        parallel = Engine(EngineConfig(workers=2))
-        try:
-            assert parallel.map_chunks(sum, chunks) == expected
-        finally:
-            parallel.close()
-
-    def test_map_chunks_closed_pool_falls_back(self):
-        eng = Engine(EngineConfig(workers=2))
-        eng.close()
-        assert eng.map_chunks(sum, [[1], [2, 3]]) == [1, 5]
+        assert eng.workers == 1
 
 
 class TestCaches:
@@ -272,33 +228,6 @@ class TestCompiledEngine:
         assert DEFAULT_ENGINE.compile(cs) is compiled
         verify(prepare(vk), p1, cs.public_inputs())
         verify(prepare(vk), p2, cs.public_inputs())
-
-    def test_parallel_evaluate_matches_serial(self):
-        cs = _chain_circuit(48)
-        parallel = Engine(EngineConfig(workers=2, min_parallel_rows=1))
-        try:
-            _, serial_evals = DEFAULT_ENGINE.evaluate_r1cs(cs)
-            _, parallel_evals = parallel.evaluate_r1cs(cs)
-            assert serial_evals == parallel_evals
-        finally:
-            parallel.close()
-
-    def test_parallel_unsatisfied_raises_without_breaking_pool(self):
-        from repro.errors import UnsatisfiedError
-
-        cs = _chain_circuit(48)
-        cs.values[20] = 123  # corrupt a mul output mid-chain
-        parallel = Engine(EngineConfig(workers=2, min_parallel_rows=1))
-        try:
-            with pytest.raises(UnsatisfiedError):
-                parallel.evaluate_r1cs(cs)
-            # workers report failures as data, not exceptions, so the
-            # pool stays usable for the next evaluation
-            assert not parallel._pool_broken
-            cs.values[20] = _chain_circuit(48).values[20]
-            parallel.evaluate_r1cs(cs)
-        finally:
-            parallel.close()
 
     def test_eval_cache_hit_when_nothing_rebound(self):
         cs, _ = _bindable_circuit()

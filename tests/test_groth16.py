@@ -154,22 +154,11 @@ def _fixed_rng():
 
 class TestCompiledProver:
     def test_proofs_byte_identical_across_evaluation_paths(self, keys):
-        from repro.engine import Engine, EngineConfig
-
         cs, pk, vk, _ = keys
-        parallel = Engine(EngineConfig(workers=2, min_parallel_rows=1))
-        try:
-            p_legacy = prove(pk, cs, rng=_fixed_rng(), use_compiled=False)
-            p_compiled = prove(pk, cs, rng=_fixed_rng())
-            p_parallel = prove(pk, cs, rng=_fixed_rng(), engine=parallel)
-            assert (
-                proof_to_bytes(p_legacy)
-                == proof_to_bytes(p_compiled)
-                == proof_to_bytes(p_parallel)
-            )
-            verify(prepare(vk), p_compiled, cs.public_inputs())
-        finally:
-            parallel.close()
+        p_legacy = prove(pk, cs, rng=_fixed_rng(), use_compiled=False)
+        p_compiled = prove(pk, cs, rng=_fixed_rng())
+        assert proof_to_bytes(p_legacy) == proof_to_bytes(p_compiled)
+        verify(prepare(vk), p_compiled, cs.public_inputs())
 
     def test_each_constraint_evaluated_exactly_once(self, keys, monkeypatch):
         from repro.r1cs import LinearCombination

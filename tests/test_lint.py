@@ -1,5 +1,5 @@
-"""Tests for repro.lint: auditor fixtures, hygiene rules, pool purity,
-rule fixtures, baseline gating, and the CLI."""
+"""Tests for repro.lint: auditor fixtures, hygiene rules, rule fixtures,
+baseline gating, and the CLI."""
 
 import json
 import os
@@ -34,7 +34,7 @@ FR = PrimeField(BN254_R)
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "lint_fixtures")
 
 #: the rules the deliberately wrong modules under lint_fixtures/ demonstrate
-FIXTURE_CHECKS = {"raw-tuple-escape", "wire-escape", "impure-pool-task"}
+FIXTURE_CHECKS = {"raw-tuple-escape", "wire-escape"}
 
 
 def checks(findings):
@@ -356,93 +356,6 @@ class TestHygiene:
         assert lint_source(src, "field/extension.py") == []
 
 
-# -- worker-pool purity -------------------------------------------------------
-
-
-class TestPoolPurity:
-    def test_pure_task_clean(self):
-        src = (
-            "def task(x):\n"
-            "    y = x * 2\n"
-            "    return y\n\n"
-            "def drive(pool, xs):\n"
-            "    return [pool.submit(task, x) for x in xs]\n"
-        )
-        assert lint_source(src, "engine/demo.py") == []
-
-    def test_global_assignment_flagged(self):
-        src = (
-            "def task(x):\n"
-            "    global _N\n"
-            "    _N = x\n"
-            "    return x\n\n"
-            "def drive(pool, xs):\n"
-            "    return [pool.submit(task, x) for x in xs]\n"
-        )
-        assert checks(lint_source(src, "engine/demo.py")) == {
-            "impure-pool-task"
-        }
-
-    def test_mutator_call_on_module_state_flagged(self):
-        src = (
-            "ACC = []\n\n"
-            "def task(x):\n"
-            "    ACC.append(x)\n"
-            "    return x\n\n"
-            "def drive(pool, xs):\n"
-            "    return [pool.submit(task, x) for x in xs]\n"
-        )
-        assert checks(lint_source(src, "engine/demo.py")) == {
-            "impure-pool-task"
-        }
-
-    def test_delta_wrapper_reaches_the_real_task(self):
-        src = (
-            "CACHE = {}\n\n"
-            "def task(x):\n"
-            "    CACHE[x] = x\n"
-            "    return x\n\n"
-            "def drive(pool, delta, xs):\n"
-            "    return [pool.submit(run_with_delta, task, x) for x in xs]\n"
-        )
-        assert checks(lint_source(src, "engine/demo.py")) == {
-            "impure-pool-task"
-        }
-
-    def test_cross_file_shipped_names(self, tmp_path):
-        # the submit site lives in another module: a tree run collects the
-        # shipped names across every file before linting any of them
-        task = (
-            "CACHE = {}\n\n"
-            "def task(x):\n"
-            "    CACHE[x] = x\n"
-            "    return x\n"
-        )
-        assert lint_source(task, "engine/work.py") == []
-        found = lint_source(task, "engine/work.py", shipped_names={"task"})
-        assert checks(found) == {"impure-pool-task"}
-        engine = tmp_path / "engine"
-        engine.mkdir()
-        (engine / "work.py").write_text(task)
-        (engine / "drive.py").write_text(
-            "def drive(pool, xs):\n"
-            "    return [pool.submit(task, x) for x in xs]\n"
-        )
-        (f,) = lint_tree(str(tmp_path))
-        assert (f.check, f.where) == ("impure-pool-task", "engine/work.py:task")
-
-    def test_telemetry_is_exempt(self):
-        src = (
-            "METRICS = {}\n\n"
-            "def task(x):\n"
-            "    METRICS[x] = x\n"
-            "    return x\n\n"
-            "def drive(pool, xs):\n"
-            "    return [pool.submit(task, x) for x in xs]\n"
-        )
-        assert lint_source(src, "telemetry/demo.py") == []
-
-
 # -- one deliberately wrong module per boundary rule ---------------------------
 
 
@@ -466,11 +379,6 @@ class TestRuleFixtures:
         assert fixture_checks(
             fixture_findings, "leak_wire_bytes.py"
         ) == {"wire-escape"}
-
-    def test_impure_pool_task(self, fixture_findings):
-        assert fixture_checks(
-            fixture_findings, "impure_pool_task.py"
-        ) == {"impure-pool-task"}
 
     def test_every_rule_is_an_error(self, fixture_findings):
         assert checks(fixture_findings) == FIXTURE_CHECKS

@@ -1,16 +1,14 @@
-"""MSM kernel parity: optimized vs pre-refactor goldens vs parallel.
+"""MSM kernel parity: optimized vs pre-refactor goldens.
 
 The raw-speed pass (signed windows, batched-affine buckets, GLV) must be a
 pure re-association: every kernel variant computes the same group element.
-Three legs pin that down:
+Two legs pin that down:
 
 * golden parity — ``msm_generic`` reproduces the affine results captured
   from the pre-refactor unsigned kernel (``tests/golden/msm_golden.json``),
   across four G1 curves and BN254 G2;
 * reference parity — ``msm_reference`` (the retained pre-refactor kernel)
-  still reproduces its own goldens, so the baseline cannot drift;
-* serial/parallel parity — a pool engine returns the same affine point as
-  the serial path on the same workload.
+  still reproduces its own goldens, so the baseline cannot drift.
 
 Workloads are rebuilt from the recorded seeds with ``random.Random``, so
 the fixtures stay a few hundred bytes instead of shipping point dumps.
@@ -24,7 +22,6 @@ import pytest
 
 from repro.ec.curve import Point
 from repro.ec.curves import BN254_G1, TOY29, curve_by_name
-from repro.engine import Engine, EngineConfig
 from repro.engine.group import JacobianGroup, OperatorGroup
 from repro.engine.msm import msm_generic, msm_reference
 from repro.pairing.bn254 import BN254_R, G2_GENERATOR, G2Point
@@ -101,19 +98,3 @@ def test_bucket_special_cases():
         b1, neg = bases[0], bases[3]
         two = ((2 * g).x, (2 * g).y)
         assert group.reduce_buckets([[], [b1, b1], [b1, neg]]) == [None, two, None]
-
-
-def test_serial_parallel_parity():
-    """A pool engine and the serial engine agree on the affine result."""
-    case = next(c for c in G1_CASES if c["curve"] == "bn254-g1" and c["n"] == 96)
-    curve = curve_by_name(case["curve"])
-    bases, scalars = _g1_workload(curve, case["seed"], case["n"])
-    serial = Engine()
-    parallel = Engine(EngineConfig(workers=2, min_parallel_msm=1, adaptive=False))
-    try:
-        a = Point.from_jacobian(curve, serial.msm_jacobian(curve, bases, scalars))
-        b = Point.from_jacobian(curve, parallel.msm_jacobian(curve, bases, scalars))
-    finally:
-        parallel.close()
-    assert a == b
-    assert hex(a.x) == case["x"] and hex(a.y) == case["y"]

@@ -1,12 +1,9 @@
-"""repro.telemetry: spans, metrics, clock injection, worker aggregation.
+"""repro.telemetry: spans, metrics, and clock injection.
 
 Covers the telemetry subsystem's contracts:
 
 - span nesting, exception safety, and the disabled no-op path;
-- counter/gauge/histogram math and registry delta/merge round trips;
-- worker-pool metric aggregation: serial and ``workers=2`` runs of the
-  same kernel agree on every compute-metric total (``pool.*`` dispatch
-  counts excluded by design);
+- counter/gauge/histogram math and registry deltas;
 - deterministic traces under ``repro.clock.FakeClock``;
 - the unified clock source: the prover's timeline timer and ``ts``
   default route through ``repro.telemetry.clocks``.
@@ -16,9 +13,6 @@ import pytest
 
 from repro import telemetry
 from repro.clock import DAY, FakeClock, SimClock
-from repro.ec.curves import BN254_R
-from repro.engine import Engine, EngineConfig
-from repro.field import PrimeField
 from repro.telemetry import clocks
 from repro.telemetry.export import (
     metrics_signature,
@@ -29,8 +23,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.trace import NOOP_SPAN, TRACER, span
-
-FR = PrimeField(BN254_R)
 
 
 @pytest.fixture(autouse=True)
@@ -151,7 +143,7 @@ class TestMetrics:
         with pytest.raises(TypeError):
             reg.histogram("dual")
 
-    def test_delta_and_merge(self):
+    def test_delta_since(self):
         reg = MetricsRegistry()
         c = reg.counter("c")
         h = reg.histogram("h", bounds=(2, 8))
@@ -170,24 +162,6 @@ class TestMetrics:
         kind, hdelta = delta["h"]
         assert kind == "histogram"
         assert hdelta["count"] == 1 and hdelta["sum"] == 10
-        # merging the delta into a registry holding the "before" state
-        # reproduces the final totals (the worker-pool aggregation path)
-        parent = MetricsRegistry()
-        parent.counter("c").inc(5)
-        parent.histogram("h", bounds=(2, 8)).observe(1)
-        parent.gauge("g").set(3)
-        parent.merge(delta)
-        assert metrics_signature(parent.snapshot()) == metrics_signature(
-            reg.snapshot()
-        )
-
-    def test_signature_excludes_pool_metrics(self):
-        reg = MetricsRegistry()
-        reg.counter("pool.tasks").inc(9)
-        reg.counter("real.work").inc(2)
-        sig = metrics_signature(reg.snapshot())
-        assert "pool.tasks" not in sig
-        assert "real.work 2" in sig
 
     def test_prometheus_rendering(self):
         reg = MetricsRegistry()
@@ -207,88 +181,6 @@ class TestMetrics:
         assert stats_line("cache", {"hits": 2, "misses": 1}) == (
             "cache: hits=2 misses=1"
         )
-
-
-def _bulk_system(m=64):
-    from repro.r1cs import ConstraintSystem
-
-    cs = ConstraintSystem(FR)
-    x = cs.alloc(3)
-    acc = cs.alloc(3)
-    cs.enforce_equal(acc, x)
-    for _ in range(m):
-        acc = cs.mul(acc, acc + 1)
-    return cs
-
-
-class TestWorkerAggregation:
-    def test_serial_and_parallel_totals_agree(self):
-        """A workers=2 coset transform ships its worker FFT observations
-        back to the parent, so compute metrics match the serial run."""
-        from repro.engine.fft import domain_root
-
-        vecs = [[(i * j + 1) % 97 for i in range(32)] for j in range(3)]
-        omega = domain_root(32)
-
-        serial = Engine()
-        telemetry.metrics.reset()
-        serial_out = serial.coset_extend_many(vecs, omega)
-        serial_sig = metrics_signature(telemetry.snapshot())
-
-        parallel = Engine(EngineConfig(workers=2))
-        try:
-            telemetry.metrics.reset()
-            parallel_out = parallel.coset_extend_many(vecs, omega)
-            parallel_sig = metrics_signature(telemetry.snapshot())
-            pool_tasks = telemetry.REGISTRY.counter("pool.tasks").value
-        finally:
-            parallel.close()
-
-        assert parallel_out == serial_out
-        assert parallel_sig == serial_sig
-        fft = telemetry.REGISTRY.get("fft.size")
-        assert fft is not None and fft.count >= len(vecs)
-        if pool_tasks == 0:
-            pytest.skip("process pool unavailable in this sandbox")
-
-    def test_full_evaluation_metrics_agree(self):
-        serial = Engine()
-        parallel = Engine(EngineConfig(workers=2, min_parallel_rows=1))
-        try:
-            warm = _bulk_system()
-            serial.evaluate_r1cs(warm)  # compile-cache warm-up for both runs
-
-            cs1, cs2 = _bulk_system(), _bulk_system()
-            telemetry.metrics.reset()
-            _, serial_evals = serial.evaluate_r1cs(cs1)
-            serial_sig = metrics_signature(telemetry.snapshot())
-
-            telemetry.metrics.reset()
-            _, parallel_evals = parallel.evaluate_r1cs(cs2)
-            parallel_sig = metrics_signature(telemetry.snapshot())
-        finally:
-            parallel.close()
-        assert parallel_evals == serial_evals
-        assert parallel_sig == serial_sig
-
-    def test_trace_structure_identical_serial_vs_parallel(self):
-        """Spans record only in the parent, so the enabled trace is
-        structurally identical between serial and workers=2 runs."""
-        from repro.engine.fft import domain_root
-
-        vecs = [[(7 * i + j) % 53 for i in range(16)] for j in range(3)]
-        omega = domain_root(16)
-        signatures = []
-        for engine in (Engine(), Engine(EngineConfig(workers=2))):
-            try:
-                TRACER.reset()
-                telemetry.enable()
-                engine.coset_extend_many(vecs, omega)
-                telemetry.disable()
-                signatures.append(trace_signature(TRACER.roots))
-            finally:
-                engine.close()
-        assert signatures[0] == signatures[1]
 
 
 class TestFakeClock:

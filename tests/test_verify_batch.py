@@ -1,11 +1,10 @@
 """Tests for batched Groth16 verification: the random-linear-combination
-multi-pairing check, Fiat–Shamir coefficient derivation, the bisection
-fallback, and the engine-parallel batch path."""
+multi-pairing check, Fiat–Shamir coefficient derivation, and the
+bisection fallback."""
 
 import pytest
 
 from repro.ec.curves import BN254_R
-from repro.engine import Engine, EngineConfig
 from repro.errors import ProofError
 from repro.field import PrimeField
 from repro.groth16 import (
@@ -180,17 +179,3 @@ class TestPreparedKey:
         vk, pvk, proofs, publics = batch
         verify(vk, proofs[0], publics[0])
         verify(pvk, proofs[0], publics[0])
-
-
-class TestParallelBatch:
-    def test_workers_verdicts_identical(self, batch):
-        _, pvk, proofs, publics = batch
-        engine = Engine(EngineConfig(workers=2))
-        try:
-            verify_batch(pvk, proofs, publics, engine=engine)
-            bad = [tampered(p) if i == 2 else p for i, p in enumerate(proofs)]
-            with pytest.raises(BatchVerificationError) as exc:
-                verify_batch(pvk, bad, publics, engine=engine)
-            assert exc.value.indices == [2]
-        finally:
-            engine.close()
