@@ -9,9 +9,10 @@ evaluates the memoized CSR matrices once, then re-evaluates only the rows
 reading a re-bound wire on later proofs.  The gate requires the warm
 compiled bind+evaluate stage to be at least 2x faster than the LC walk.
 
-A second, proving-key-sized circuit checks end-to-end proof parity: the
-legacy LC path and the compiled path must produce byte-identical proofs
-for the same randomness.
+A second, proving-key-sized circuit checks evaluation parity on a keyed
+statement: the compiled evaluator must reproduce the LC walk's A/B/C
+evaluations, and a proof is a deterministic function of those evaluations
+and the sampled blinding scalars, so equal evaluations mean equal proofs.
 
 Run::
 
@@ -23,7 +24,7 @@ import argparse
 
 from repro import telemetry
 from repro.ec.curves import BN254_R
-from repro.engine import Engine
+from repro.engine import get_engine
 from repro.field import PrimeField
 from repro.groth16 import (
     compute_h_coefficients,
@@ -115,23 +116,22 @@ def _seeded_rng(seed):
     return lambda: state.randrange(1, BN254_R)
 
 
-def check_proof_parity(keyed_m, rng=None):
-    """Legacy LC and compiled proofs must be byte-identical for the same
-    randomness; returns the proof bytes."""
+def check_keyed_parity(keyed_m, rng=None):
+    """The compiled evaluator must match the LC walk on a keyed circuit, and
+    the compiled proof must verify; returns the proof bytes."""
     cs = keyed_circuit(keyed_m)
     pk, vk, _ = setup(cs, rng=rng)
-    p_legacy = prove(pk, cs, rng=_fixed_rng(), use_compiled=False)
-    p_compiled = prove(pk, cs, rng=_fixed_rng())
-    legacy_bytes = proof_to_bytes(p_legacy)
-    if proof_to_bytes(p_compiled) != legacy_bytes:
-        raise AssertionError("compiled proof differs from legacy LC proof")
-    verify(prepare(vk), p_compiled, cs.public_inputs())
-    return legacy_bytes
+    compiled = CompiledCircuit.from_system(cs)
+    if compiled.evaluate(cs.values) != evaluate_constraints(cs):
+        raise AssertionError("keyed-circuit compiled evals differ from LC walk")
+    proof = prove(pk, cs, rng=_fixed_rng())
+    verify(prepare(vk), proof, cs.public_inputs())
+    return proof_to_bytes(proof)
 
 
 def run(m, keyed_m, rounds, seed=None):
     rng = _seeded_rng(seed)
-    eng = Engine()
+    eng = get_engine()
 
     with span("bench.synthesize", m=m):
         t0 = perf()
@@ -173,9 +173,7 @@ def run(m, keyed_m, rounds, seed=None):
         raise AssertionError("incremental evals differ from fresh LC walk")
 
     evals = evaluate_constraints(cs)
-    fft_s = _best(
-        lambda i: compute_h_coefficients(cs, eng, evals=evals), rounds
-    )
+    fft_s = _best(lambda i: compute_h_coefficients(cs, evals), rounds)
 
     # MSM-dominated tail, on a circuit small enough to run setup
     with span("bench.keyed_setup", keyed_m=keyed_m):
@@ -184,15 +182,13 @@ def run(m, keyed_m, rounds, seed=None):
         prove(pk, kcs, rng=rng)  # warm the prepared-key and compiled caches
     keyed_eval_s = _best(lambda i: eng.evaluate_r1cs(kcs), rounds)
     keyed_fft_s = _best(
-        lambda i: compute_h_coefficients(
-            kcs, eng, evals=evaluate_constraints(kcs)
-        ),
+        lambda i: compute_h_coefficients(kcs, evaluate_constraints(kcs)),
         rounds,
     )
     prove_s = _best(lambda i: prove(pk, kcs, rng=_fixed_rng()), rounds)
     msm_s = max(prove_s - keyed_eval_s - keyed_fft_s, 0.0)
 
-    proof_bytes = check_proof_parity(keyed_m, rng=rng)
+    proof_bytes = check_keyed_parity(keyed_m, rng=rng)
 
     print(
         "statement-like circuit: m=%d constraints, nnz=%d (A+B+C)"
@@ -207,7 +203,7 @@ def run(m, keyed_m, rounds, seed=None):
     print("keyed circuit: m=%d, proof = %d bytes" % (keyed_m, len(proof_bytes)))
     print("  prove, total:               %8.3f s" % prove_s)
     print("  msm + tail (residual):      %8.3f s" % msm_s)
-    print("proofs byte-identical across {legacy LC, compiled}")
+    print("keyed-circuit evals identical across {LC walk, compiled}")
     results = {
         "m": compiled.num_constraints,
         "nnz": compiled.a.nnz + compiled.b.nnz + compiled.c.nnz,

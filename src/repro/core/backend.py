@@ -44,20 +44,18 @@ class Groth16Backend:
     #: envelope kind tag this backend's proof bodies are sealed under
     kind = KIND_GROTH16
 
-    def __init__(self, engine=None):
-        #: compute engine for setup/prove (None -> the default serial engine)
-        self.engine = engine
+    def __init__(self):
         self._codec = get_codec(self.kind)
 
     def setup(self, shape_id, system):
-        pk, vk, toxic = setup(system, engine=self.engine)
+        pk, vk, toxic = setup(system)
         del toxic  # the trapdoor is destroyed; see tests for why it must be
         # pre-compile the CSR form so the first prove() pays no lowering cost
-        get_engine(self.engine).compile(system)
+        get_engine().compile(system)
         return StatementKeys(shape_id, pk, prepare(vk))
 
     def prove(self, keys, system):
-        proof = prove(keys.proving_key, system, engine=self.engine)
+        proof = prove(keys.proving_key, system)
         return self._codec.encode(proof)
 
     def decode(self, proof_bytes):
@@ -67,15 +65,13 @@ class Groth16Backend:
 
     def verify(self, keys, proof, public_inputs):
         """Check a decoded proof (see :meth:`decode`)."""
-        verify(keys.verifying_key, proof, public_inputs, engine=self.engine)
+        verify(keys.verifying_key, proof, public_inputs)
 
     def verify_batch(self, keys, proofs, public_inputs_list):
         """One multi-pairing check over N decoded proofs (same verdicts as
         N :meth:`verify` calls; raises BatchVerificationError with the
         offending indices)."""
-        verify_batch(
-            keys.verifying_key, proofs, public_inputs_list, engine=self.engine
-        )
+        verify_batch(keys.verifying_key, proofs, public_inputs_list)
 
 
 class SimulationBackend:
@@ -83,9 +79,7 @@ class SimulationBackend:
     #: envelope kind tag this backend's proof bodies are sealed under
     kind = KIND_SIMULATION
 
-    def __init__(self, engine=None):
-        # the simulation has no group work; accepted for interface parity
-        self.engine = engine
+    def __init__(self):
         self._codec = get_codec(self.kind)
 
     def setup(self, shape_id, system):
@@ -130,11 +124,9 @@ def _decode(codec, proof_bytes):
 BACKENDS = {"groth16": Groth16Backend, "simulation": SimulationBackend}
 
 
-def make_backend(name, engine=None):
-    """Instantiate a backend, optionally bound to a specific compute engine
-    (an :class:`repro.engine.Engine`; None means the shared serial default).
-    """
+def make_backend(name):
+    """Instantiate the backend registered under ``name``."""
     cls = BACKENDS.get(name)
     if cls is None:
         raise ProofError("unknown backend %r" % name)
-    return cls(engine=engine)
+    return cls()

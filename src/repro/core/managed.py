@@ -16,7 +16,7 @@ from ..r1cs import ConstraintSystem
 from ..telemetry import clocks as _clocks
 from ..telemetry.trace import span as _span
 from .common import input_digest, truncate_timestamp
-from .prover import NopeProver
+from .prover import FR, NopeProver
 from .statement import (
     NopeStatement,
     StatementShape,
@@ -30,9 +30,8 @@ class ManagedNopeProver(NopeProver):
 
     managed = True
 
-    def __init__(self, profile, hierarchy, domain, backend=None, field=None,
-                 engine=None):
-        super().__init__(profile, hierarchy, domain, backend, field, engine)
+    def __init__(self, profile, hierarchy, domain, backend=None):
+        super().__init__(profile, hierarchy, domain, backend)
         self.shape = StatementShape(profile, self.domain.depth, managed=True)
         self.statement = NopeStatement(self.shape)
 
@@ -61,7 +60,7 @@ class ManagedNopeProver(NopeProver):
         witness = prepare_managed_witness(
             self.profile, self.domain, chain, txt_rrset, self.root_zsk_dnskey()
         )
-        cs = ConstraintSystem(self.field)
+        cs = ConstraintSystem(FR)
         self.statement.synthesize(
             cs,
             witness,

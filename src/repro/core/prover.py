@@ -8,7 +8,9 @@ embedded — the CA never knows.
 
 from ..ca.acme import DNS_PROPAGATION_DELAY, respond_to_challenge
 from ..dns.name import DomainName
+from ..ec.curves import BN254_R
 from ..errors import ProvingError
+from ..field import PrimeField
 from ..r1cs import ConstraintSystem
 from ..telemetry import clocks as _clocks
 from ..telemetry.trace import span as _span
@@ -17,6 +19,10 @@ from ..x509.csr import CertificateRequest
 from .backend import make_backend
 from .common import input_digest, truncate_timestamp
 from .statement import NopeStatement, StatementShape, prepare_witness
+
+
+#: the Groth16 scalar field (BN254 Fr) every statement is synthesized over
+FR = PrimeField(BN254_R)
 
 
 class IssuanceTimeline:
@@ -38,11 +44,7 @@ class IssuanceTimeline:
 class NopeProver:
     """A domain owner with DNSSEC keys, producing NOPE certificates."""
 
-    def __init__(self, profile, hierarchy, domain, backend=None, field=None,
-                 engine=None):
-        from ..ec.curves import BN254_R
-        from ..field import PrimeField
-
+    def __init__(self, profile, hierarchy, domain, backend=None):
         self.profile = profile
         self.hierarchy = hierarchy
         self.domain = (
@@ -51,10 +53,7 @@ class NopeProver:
         self.zone = hierarchy.zones[self.domain]
         self.shape = StatementShape(profile, self.domain.depth)
         self.statement = NopeStatement(self.shape)
-        self.backend = make_backend(
-            backend or profile.default_backend, engine=engine
-        )
-        self.field = field or PrimeField(BN254_R)
+        self.backend = make_backend(backend or profile.default_backend)
         self.keys = None
         #: how many times the full R1CS has been synthesized (structure +
         #: witness); the base statement synthesizes once and re-binds
@@ -75,7 +74,7 @@ class NopeProver:
     def synthesize(self, tls_key_bytes=b"", ca_name=b"", ts=0):
         """Build the fully-assigned constraint system for this statement."""
         self.synthesis_count += 1
-        cs = ConstraintSystem(self.field)
+        cs = ConstraintSystem(FR)
         self.statement.synthesize(
             cs,
             self._witness(),

@@ -1,7 +1,7 @@
 """Straus/Shamir joint scalar multiplication for tiny fixed-width MSMs.
 
 The Groth16 prover's large MSMs run through the group-generic Pippenger
-kernel in :mod:`repro.engine.msm` (``DEFAULT_ENGINE.msm_points``); this
+kernel in :mod:`repro.engine.msm` (``get_engine().msm_points``); this
 module keeps only ``straus``, which signature verification and the ECDSA
 gadget use for their 2-4 point sums.
 """

@@ -4,14 +4,15 @@ Every performance-critical group/field kernel in the repro flows through
 this package: the group-generic Pippenger MSM (:mod:`repro.engine.msm`),
 cached-twiddle FFTs (:mod:`repro.engine.fft`), fixed-base table caches
 (:mod:`repro.engine.tables`), prepared proving keys
-(:mod:`repro.engine.prepared`), and the serial :class:`Engine` front-end
-that ties them together (:mod:`repro.engine.core`).
+(:mod:`repro.engine.prepared`), and the serial engine front-end that
+ties them together (:mod:`repro.engine.core`, reached through
+:func:`get_engine`).
 
 Layering: ``engine`` sits above ``field``/``ec``/``pairing`` primitives and
 below ``groth16``/``core``.
 """
 
-from .core import DEFAULT_ENGINE, Engine, get_engine
+from .core import get_engine
 from .fft import (
     GENERATOR,
     ROOT_OF_UNITY,
@@ -28,8 +29,6 @@ from .prepared import PreparedProvingKey, compile_system
 from .tables import FixedBaseTable
 
 __all__ = [
-    "Engine",
-    "DEFAULT_ENGINE",
     "get_engine",
     "Group",
     "JacobianGroup",

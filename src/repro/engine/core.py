@@ -6,19 +6,13 @@ compiled circuits, prepared proving keys) and opens the ``engine.*``
 spans and metrics around each kernel call.  It runs in-process and
 serially.
 
-``DEFAULT_ENGINE`` is the module-wide engine; every API that accepts an
-``engine=`` argument treats ``None`` as "use the default".
+The engine holds no state of its own (the caches live in the kernel
+modules), so there is exactly one: :func:`get_engine` returns it.
 """
 
 from ..telemetry import metrics as _metrics
 from ..telemetry.trace import span as _span
-from .fft import (
-    cached_coset_fft,
-    cached_coset_ifft,
-    cached_fft,
-    cached_ifft,
-    coset_extend,
-)
+from .fft import cached_coset_ifft, coset_extend
 from .group import JacobianGroup, OperatorGroup
 from .msm import msm_generic
 from .prepared import (
@@ -64,18 +58,14 @@ class Engine:
         with _span("engine.msm", points=len(bases)):
             return msm_generic(group, bases, scalars)
 
-    def msm_jacobian(self, curve, affine_bases, scalars):
-        """Pippenger MSM over affine ``(x, y)`` tuples; Jacobian result."""
-        return self._msm(_jacobian_group(curve), affine_bases, scalars)
-
     def msm_affine_point(self, curve, affine_bases, scalars):
-        """Like :meth:`msm_jacobian` but returns an affine ``Point``."""
+        """Pippenger MSM over affine ``(x, y)`` tuples; affine ``Point``."""
         from ..ec.curve import Point
 
         if not affine_bases:
             return curve.infinity
         return Point.from_jacobian(
-            curve, self.msm_jacobian(curve, affine_bases, scalars)
+            curve, self._msm(_jacobian_group(curve), affine_bases, scalars)
         )
 
     def msm_points(self, points, scalars):
@@ -105,15 +95,6 @@ class Engine:
         return self._msm(group, bases, sc)
 
     # -- FFT -------------------------------------------------------------------
-
-    def fft(self, values, omega):
-        return cached_fft(values, omega)
-
-    def ifft(self, values, omega):
-        return cached_ifft(values, omega)
-
-    def coset_fft(self, coeffs, omega):
-        return cached_coset_fft(coeffs, omega)
 
     def coset_ifft(self, values, omega):
         return cached_coset_ifft(values, omega)
@@ -185,10 +166,9 @@ class Engine:
         return prepare_proving_key(pk)
 
 
-#: Process-wide engine; ``engine=None`` everywhere resolves to this.
-DEFAULT_ENGINE = Engine()
+_ENGINE = Engine()
 
 
-def get_engine(engine=None):
-    """Resolve an optional ``engine=`` argument to a concrete Engine."""
-    return DEFAULT_ENGINE if engine is None else engine
+def get_engine():
+    """The process-wide :class:`Engine`."""
+    return _ENGINE

@@ -1,7 +1,6 @@
 """Groth16 zkSNARK over BN254: setup, prove, verify, 128-byte proofs."""
 
 from ..engine.fft import domain_root
-from .fft import coset_fft, coset_ifft, fft, ifft
 from .keys import Proof, ProvingKey, ToxicWaste, VerifyingKey
 from .prove import compute_h_coefficients, evaluate_constraints, prove
 from .rerandomize import proof_in_groups, rerandomize
@@ -62,10 +61,6 @@ __all__ = [
     "g2_to_bytes",
     "g2_from_bytes",
     "PROOF_SIZE",
-    "fft",
-    "ifft",
-    "coset_fft",
-    "coset_ifft",
     "domain_root",
     "sim_setup",
     "sim_prove",

@@ -11,12 +11,11 @@ non-identity entries.
 
 The field side is single-pass: each constraint's A/B/C linear combinations
 are evaluated exactly once per proof, with the satisfaction check folded
-into the same pass (the legacy flow evaluated everything twice — once in
-``check_satisfied`` and again here).  By default the evaluation runs on the
-engine's compiled circuit (flat CSR matrices, memoized by structure hash,
-and incremental across witness re-binds); pass
-``use_compiled=False`` to take the LC-walk path, which produces the same
-evaluations and therefore byte-identical proofs.
+into the same pass.  The evaluation runs on the engine's compiled circuit
+(flat CSR matrices, memoized by structure hash, and incremental across
+witness re-binds).  :func:`evaluate_constraints` is the uncompiled LC walk
+it must agree with bit-for-bit; tests and the prover-pipeline bench use it
+as the reference.
 """
 
 import secrets
@@ -58,65 +57,48 @@ def evaluate_constraints(system):
     return a_evals, b_evals, c_evals
 
 
-def compute_h_coefficients(structure, engine=None, evals=None):
+def compute_h_coefficients(structure, evals):
     """Coefficients of h(X) = (A(X)B(X) - C(X)) / Z(X) on the QAP domain.
 
-    ``evals`` supplies precomputed ``(a_evals, b_evals, c_evals)`` (length
-    ``m``) from the single evaluation pass; without it, the constraints are
-    walked here (kept for direct callers of this function).
+    ``evals`` is the ``(a_evals, b_evals, c_evals)`` triple (length ``m``
+    each) from the single evaluation pass.
     """
-    eng = get_engine(engine)
     m = structure.constraint_count
     d = _next_pow2(max(m, 2))
+    eng = get_engine()
     with _span("groth16.h_coefficients", constraints=m, domain=d):
-        return _h_coefficients(structure, eng, d, evals)
+        omega = domain_root(d)
+        padding = [0] * (d - m)
+        a_coset, b_coset, c_coset = eng.coset_extend_many(
+            [list(vec) + padding for vec in evals], omega
+        )
+        # Z(g w^j) = g^d - 1 is constant on the coset
+        z_coset = (pow(GENERATOR, d, R) - 1) % R
+        z_inv = pow(z_coset, -1, R)
+        h_coset = [
+            (av * bv - cv) % R * z_inv % R
+            for av, bv, cv in zip(a_coset, b_coset, c_coset)
+        ]
+        h_coeffs = eng.coset_ifft(h_coset, omega)
+        # degree of h is d - 2; the top coefficient must vanish
+        if h_coeffs[d - 1] % R != 0:
+            raise ProvingError(
+                "constraint system is not satisfied (h overflow)"
+            )
+        return h_coeffs[: d - 1]
 
 
-def _h_coefficients(structure, eng, d, evals):
-    m = structure.constraint_count
-    omega = domain_root(d)
-    a_evals = [0] * d
-    b_evals = [0] * d
-    c_evals = [0] * d
-    if evals is None:
-        values = structure.values
-        for j, (a, b, c, _) in enumerate(structure.constraints):
-            a_evals[j] = a.evaluate(values, R)
-            b_evals[j] = b.evaluate(values, R)
-            c_evals[j] = c.evaluate(values, R)
-    else:
-        a_evals[:m] = evals[0]
-        b_evals[:m] = evals[1]
-        c_evals[:m] = evals[2]
-    a_coset, b_coset, c_coset = eng.coset_extend_many(
-        [a_evals, b_evals, c_evals], omega
-    )
-    # Z(g w^j) = g^d - 1 is constant on the coset
-    z_coset = (pow(GENERATOR, d, R) - 1) % R
-    z_inv = pow(z_coset, -1, R)
-    h_coset = [
-        (av * bv - cv) % R * z_inv % R
-        for av, bv, cv in zip(a_coset, b_coset, c_coset)
-    ]
-    h_coeffs = eng.coset_ifft(h_coset, omega)
-    # degree of h is d - 2; the top coefficient must vanish
-    if h_coeffs[d - 1] % R != 0:
-        raise ProvingError("constraint system is not satisfied (h overflow)")
-    return h_coeffs[: d - 1]
-
-
-def prove(pk, system, rng=None, engine=None, use_compiled=True):
+def prove(pk, system, rng=None):
     """Produce a proof that ``system``'s assignment satisfies its R1CS.
 
-    ``system`` is a fully synthesized ConstraintSystem (witness included).
-    ``engine`` selects the compute engine (``None`` = the default one).
-    ``use_compiled`` selects the CSR evaluation path (default) or the
-    legacy LC walk; both evaluate every constraint at most once and yield
-    identical proofs for the same randomness.
+    ``system`` is a fully synthesized ConstraintSystem (witness included);
+    ``rng`` is a zero-argument sampler for the blinding scalars r and s
+    (default: ``secrets``).  The proof is a deterministic function of the
+    evaluations and the two sampled scalars.
     """
     if system.counting_only:
         raise ProvingError("cannot prove a counting-only system")
-    eng = get_engine(engine)
+    eng = get_engine()
     with _span("groth16.prove", constraints=system.constraint_count):
         prep = eng.prepare(pk)
         curve = prep.curve
@@ -125,14 +107,11 @@ def prove(pk, system, rng=None, engine=None, use_compiled=True):
         if num_vars != len(pk.a_query):
             raise ProvingError("proving key does not match this statement")
         with _span("prove.evaluate"):
-            if use_compiled:
-                _, evals = eng.evaluate_r1cs(system)
-            else:
-                evals = evaluate_constraints(system)
+            _, evals = eng.evaluate_r1cs(system)
         rand = rng or (lambda: secrets.randbelow(R))
         r = rand()
         s = rand()
-        h_coeffs = compute_h_coefficients(system, eng, evals=evals)
+        h_coeffs = compute_h_coefficients(system, evals)
 
         with _span("prove.msm.a"):
             a_bases, a_sc = prep.a.gather(z)

@@ -79,7 +79,7 @@ def evaluate_qap_at(structure, tau):
     return a_vals, b_vals, c_vals, d, z_tau
 
 
-def setup(structure, rng=None, engine=None):
+def setup(structure, rng=None):
     """Run the trusted setup for an R1CS structure.
 
     Returns (proving_key, verifying_key, toxic_waste).  Callers other than
@@ -89,16 +89,16 @@ def setup(structure, rng=None, engine=None):
     """
     if structure.counting_only:
         raise ProvingError("cannot set up a counting-only system")
-    eng = get_engine(engine)
     with _span(
         "groth16.setup",
         constraints=structure.constraint_count,
         variables=structure.num_variables,
     ):
-        return _setup(structure, eng, rng)
+        return _setup(structure, rng)
 
 
-def _setup(structure, eng, rng):
+def _setup(structure, rng):
+    eng = get_engine()
     rand = rng or (lambda: secrets.randbelow(R - 1) + 1)
     tau, alpha, beta, gamma, delta = (rand() for _ in range(5))
     with _span("setup.qap"):

@@ -90,22 +90,22 @@ def _check_proof(vk, proof, public_inputs):
         raise ProofError("proof elements not in the expected groups")
 
 
-def _ic_combination(vk, public_inputs, engine):
+def _ic_combination(vk, public_inputs):
     """vk.ic[0] + sum(x_j * vk.ic[j+1]) through the shared engine MSM."""
     if not public_inputs:
         return vk.ic[0]
-    return vk.ic[0] + get_engine(engine).msm_points(
+    return vk.ic[0] + get_engine().msm_points(
         vk.ic[1:], [x % R for x in public_inputs]
     )
 
 
-def verify(pvk, proof, public_inputs, engine=None):
+def verify(pvk, proof, public_inputs):
     """Check a proof against public inputs; raises ProofError on failure."""
     with _span("groth16.verify", public_inputs=len(public_inputs)):
         pvk = prepare(pvk)
         _check_proof(pvk.vk, proof, public_inputs)
         with _span("verify.ic_msm"):
-            ic_point = _ic_combination(pvk.vk, public_inputs, engine)
+            ic_point = _ic_combination(pvk.vk, public_inputs)
         # e(A, B) == e(alpha, beta) * e(IC, gamma) * e(C, delta), checked as
         # e(-A, B) * e(IC, gamma) * e(C, delta) * e(alpha, beta) == 1.
         with _span("verify.pairing"):
@@ -121,10 +121,10 @@ def verify(pvk, proof, public_inputs, engine=None):
             raise ProofError("Groth16 pairing check failed")
 
 
-def is_valid(pvk, proof, public_inputs, engine=None):
+def is_valid(pvk, proof, public_inputs):
     """Boolean form of :func:`verify`."""
     try:
-        verify(pvk, proof, public_inputs, engine=engine)
+        verify(pvk, proof, public_inputs)
         return True
     except ProofError:
         return False
@@ -156,7 +156,7 @@ def batch_coefficients(proofs, public_inputs_list):
     return coeffs
 
 
-def _batch_check(pvk, proofs, public_inputs_list, engine):
+def _batch_check(pvk, proofs, public_inputs_list):
     """Whether the random-linear-combination multi-pairing equation holds.
 
     With coefficients z_i, the per-proof equations
@@ -166,14 +166,14 @@ def _batch_check(pvk, proofs, public_inputs_list, engine):
     * e(sum z_i C_i, delta) * e(alpha, beta)^(sum z_i) == 1``
     — one final exponentiation for the whole batch.
     """
-    eng = get_engine(engine)
-    vk = pvk.vk
     _BATCH_SIZE.observe(len(proofs))
     with _span("groth16.verify_batch", proofs=len(proofs)):
-        return _batch_equation(eng, pvk, vk, proofs, public_inputs_list)
+        return _batch_equation(pvk, proofs, public_inputs_list)
 
 
-def _batch_equation(eng, pvk, vk, proofs, public_inputs_list):
+def _batch_equation(pvk, proofs, public_inputs_list):
+    eng = get_engine()
+    vk = pvk.vk
     coeffs = batch_coefficients(proofs, public_inputs_list)
     scale = sum(coeffs) % R
     # One IC MSM for the whole batch: the z-weighted public inputs fold
@@ -205,7 +205,7 @@ def _batch_equation(eng, pvk, vk, proofs, public_inputs_list):
         return pairing_check(ab_pairs + tail)
 
 
-def _bisect_failures(pvk, proofs, public_inputs_list, indices, engine):
+def _bisect_failures(pvk, proofs, public_inputs_list, indices):
     """Recursively halve a failing batch down to the offending indices."""
     if len(indices) == 1:
         return list(indices)
@@ -215,16 +215,14 @@ def _bisect_failures(pvk, proofs, public_inputs_list, indices, engine):
         sub_proofs = [proofs[i] for i in half]
         sub_publics = [public_inputs_list[i] for i in half]
         if len(half) == 1:
-            if not is_valid(pvk, sub_proofs[0], sub_publics[0], engine=engine):
+            if not is_valid(pvk, sub_proofs[0], sub_publics[0]):
                 bad.extend(half)
-        elif not _batch_check(pvk, sub_proofs, sub_publics, engine):
-            bad.extend(
-                _bisect_failures(pvk, proofs, public_inputs_list, half, engine)
-            )
+        elif not _batch_check(pvk, sub_proofs, sub_publics):
+            bad.extend(_bisect_failures(pvk, proofs, public_inputs_list, half))
     return bad
 
 
-def verify_batch(pvk, proofs, public_inputs_list, engine=None):
+def verify_batch(pvk, proofs, public_inputs_list):
     """Verify N proofs with one multi-pairing check.
 
     Raises :class:`BatchVerificationError` naming the offending indices if
@@ -249,14 +247,14 @@ def verify_batch(pvk, proofs, public_inputs_list, engine=None):
         raise BatchVerificationError(structural)
     if len(proofs) == 1:
         try:
-            verify(pvk, proofs[0], public_inputs_list[0], engine=engine)
+            verify(pvk, proofs[0], public_inputs_list[0])
         except ProofError:
             raise BatchVerificationError([0]) from None
         return
-    if _batch_check(pvk, proofs, public_inputs_list, engine):
+    if _batch_check(pvk, proofs, public_inputs_list):
         return
     bad = _bisect_failures(
-        pvk, proofs, public_inputs_list, list(range(len(proofs))), engine
+        pvk, proofs, public_inputs_list, list(range(len(proofs)))
     )
     if not bad:
         # The combined check failed but every proof passes individually —
@@ -265,10 +263,10 @@ def verify_batch(pvk, proofs, public_inputs_list, engine=None):
     raise BatchVerificationError(bad)
 
 
-def batch_is_valid(pvk, proofs, public_inputs_list, engine=None):
+def batch_is_valid(pvk, proofs, public_inputs_list):
     """Boolean form of :func:`verify_batch`."""
     try:
-        verify_batch(pvk, proofs, public_inputs_list, engine=engine)
+        verify_batch(pvk, proofs, public_inputs_list)
         return True
     except ProofError:
         return False

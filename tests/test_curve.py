@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from repro.ec import P256, SECP256K1, TOY61, BN254_G1, Point, decompose, half_width_bound, straus
 from repro.ec.curve import JAC_INFINITY, jac_add, jac_add_affine, jac_double, jac_mul, jac_to_affine
-from repro.engine import DEFAULT_ENGINE
+from repro.engine import get_engine
 from repro.errors import CurveError
 
-msm_points = DEFAULT_ENGINE.msm_points
+msm_points = get_engine().msm_points
 
 ALL_CURVES = [P256, SECP256K1, TOY61, BN254_G1]
 

@@ -12,8 +12,6 @@ import pytest
 from repro.ec import BN254_G1, P256, TOY29
 from repro.ec.curve import Point
 from repro.engine import (
-    DEFAULT_ENGINE,
-    Engine,
     FixedBaseTable,
     cached_coset_fft,
     cached_coset_ifft,
@@ -22,20 +20,13 @@ from repro.engine import (
     domain_root,
     get_engine,
 )
+from repro.engine.core import Engine
 from repro.engine.group import JacobianGroup, OperatorGroup
 from repro.engine.msm import msm_generic
 from repro.field import PrimeField
-from repro.groth16 import (
-    coset_fft,
-    coset_ifft,
-    fft,
-    ifft,
-    prepare,
-    prove,
-    setup,
-    verify,
-)
+from repro.groth16 import prepare, prove, setup, verify
 from repro.groth16.fft import R as FR_MODULUS
+from repro.groth16.fft import coset_fft, coset_ifft, fft, ifft
 from repro.pairing.bn254 import BN254_R, G2_GENERATOR, G2Point
 from repro.r1cs import ConstraintSystem
 
@@ -64,7 +55,7 @@ class TestGenericMsmG1:
         points = [rng.randrange(1, TOY29.order) * TOY29.generator for _ in range(8)]
         scalars = [rng.randrange(0, TOY29.order) for _ in range(8)]
         expected = sum((k * p for p, k in zip(points, scalars)), TOY29.infinity)
-        assert DEFAULT_ENGINE.msm_points(points, scalars) == expected
+        assert get_engine().msm_points(points, scalars) == expected
 
     def test_all_zero_scalars(self):
         group = JacobianGroup(P256)
@@ -91,13 +82,13 @@ class TestGenericMsmG2:
             assert msm_generic(group, points, scalars) == expected
 
     def test_engine_msm_g2_skips_infinity(self):
-        got = DEFAULT_ENGINE.msm_g2(
+        got = get_engine().msm_g2(
             [G2Point.infinity(), G2_GENERATOR], [5, 3]
         )
         assert got == 3 * G2_GENERATOR
 
     def test_empty(self):
-        assert DEFAULT_ENGINE.msm_g2([], []).is_infinity
+        assert get_engine().msm_g2([], []).is_infinity
 
 
 class TestCachedFft:
@@ -154,18 +145,17 @@ def _chain_circuit(m):
 
 class TestEngine:
     def test_get_engine_default(self):
-        assert get_engine() is DEFAULT_ENGINE
-        eng = Engine()
-        assert get_engine(eng) is eng
+        eng = get_engine()
+        assert isinstance(eng, Engine)
+        assert get_engine() is eng
         assert eng.workers == 1
 
 
 class TestCaches:
-    def test_fixed_base_table_cached_across_engines(self):
-        t1 = DEFAULT_ENGINE.fixed_base_table(
-            TOY29.generator, TOY29.infinity, 24
-        )
-        t2 = Engine().fixed_base_table(TOY29.generator, TOY29.infinity, 24)
+    def test_fixed_base_table_cached_across_calls(self):
+        eng = get_engine()
+        t1 = eng.fixed_base_table(TOY29.generator, TOY29.infinity, 24)
+        t2 = eng.fixed_base_table(TOY29.generator, TOY29.infinity, 24)
         assert t1 is t2
         assert t1.mul(1000) == 1000 * TOY29.generator
 
@@ -176,8 +166,8 @@ class TestCaches:
     def test_prepared_key_is_memoized(self):
         cs = _chain_circuit(4)
         pk, _, _ = setup(cs)
-        prep1 = DEFAULT_ENGINE.prepare(pk)
-        prep2 = DEFAULT_ENGINE.prepare(pk)
+        prep1 = get_engine().prepare(pk)
+        prep2 = get_engine().prepare(pk)
         assert prep1 is prep2
         # sparse queries drop identity points
         for i, base in zip(prep1.a.indices, prep1.a.bases):
@@ -204,16 +194,15 @@ class TestCompiledEngine:
     def test_compile_memoized_across_same_structure_systems(self):
         cs1 = _chain_circuit(6)
         cs2 = _chain_circuit(6)
-        compiled = DEFAULT_ENGINE.compile(cs1)
-        assert DEFAULT_ENGINE.compile(cs2) is compiled
-        assert Engine().compile(cs1) is compiled  # memo is engine-independent
+        compiled = get_engine().compile(cs1)
+        assert get_engine().compile(cs2) is compiled
 
     def test_compile_hit_across_two_prove_calls(self, monkeypatch):
         from repro.r1cs import CompiledCircuit
 
         cs = _chain_circuit(6)
         pk, vk, _ = setup(cs)
-        compiled = DEFAULT_ENGINE.compile(cs)
+        compiled = get_engine().compile(cs)
         calls = []
         orig_init = CompiledCircuit.__init__
 
@@ -225,23 +214,23 @@ class TestCompiledEngine:
         p1 = prove(pk, cs)
         p2 = prove(pk, cs)
         assert not calls  # both proofs reused the memoized lowering
-        assert DEFAULT_ENGINE.compile(cs) is compiled
+        assert get_engine().compile(cs) is compiled
         verify(prepare(vk), p1, cs.public_inputs())
         verify(prepare(vk), p2, cs.public_inputs())
 
     def test_eval_cache_hit_when_nothing_rebound(self):
         cs, _ = _bindable_circuit()
-        _, e1 = DEFAULT_ENGINE.evaluate_r1cs(cs)
-        _, e2 = DEFAULT_ENGINE.evaluate_r1cs(cs)
+        _, e1 = get_engine().evaluate_r1cs(cs)
+        _, e2 = get_engine().evaluate_r1cs(cs)
         assert e1 is e2  # no dirty wires: the cached evals come back as-is
 
     def test_incremental_rebind_matches_fresh_evaluation(self):
         from repro.r1cs import CompiledCircuit
 
         cs, t_wire = _bindable_circuit()
-        DEFAULT_ENGINE.evaluate_r1cs(cs)  # seed the eval cache
+        get_engine().evaluate_r1cs(cs)  # seed the eval cache
         cs.set_value(t_wire, 777)
-        _, incremental = DEFAULT_ENGINE.evaluate_r1cs(cs)
+        _, incremental = get_engine().evaluate_r1cs(cs)
         fresh = CompiledCircuit.from_system(cs).evaluate(cs.values)
         assert tuple(incremental) == tuple(fresh)
         assert cs._dirty_wires == set()  # consumed by the update
@@ -250,7 +239,7 @@ class TestCompiledEngine:
         from repro.r1cs import CompiledCircuit
 
         cs, t_wire = _bindable_circuit()
-        DEFAULT_ENGINE.evaluate_r1cs(cs)
+        get_engine().evaluate_r1cs(cs)
         calls = []
         orig = CompiledCircuit.update_evals
 
@@ -260,16 +249,16 @@ class TestCompiledEngine:
 
         monkeypatch.setattr(CompiledCircuit, "update_evals", counting)
         cs.set_value(t_wire, 42)
-        DEFAULT_ENGINE.evaluate_r1cs(cs)
+        get_engine().evaluate_r1cs(cs)
         assert calls == [{t_wire}]
 
     def test_structural_change_after_tracking_forces_full_eval(self):
         cs, t_wire = _bindable_circuit()
-        _, e1 = DEFAULT_ENGINE.evaluate_r1cs(cs)
+        _, e1 = get_engine().evaluate_r1cs(cs)
         x = cs.alloc(4)
         cs.mul(x, x)  # new structure: new compiled circuit, cache miss
         cs.enable_value_tracking()
-        _, e2 = DEFAULT_ENGINE.evaluate_r1cs(cs)
+        _, e2 = get_engine().evaluate_r1cs(cs)
         assert len(e2[0]) == len(e1[0]) + 1
 
 

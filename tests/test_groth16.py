@@ -6,19 +6,18 @@ import pytest
 from repro.ec.curves import BN254_R
 from repro.errors import EncodingError, ProofError, ProvingError
 from repro.field import PrimeField
+from repro.engine import get_engine
 from repro.groth16 import (
     PROOF_SIZE,
     Proof,
-    coset_fft,
-    coset_ifft,
+    compute_h_coefficients,
     domain_root,
-    fft,
+    evaluate_constraints,
     forge_with_toxic_waste,
     g1_from_bytes,
     g1_to_bytes,
     g2_from_bytes,
     g2_to_bytes,
-    ifft,
     is_valid,
     prepare,
     proof_from_bytes,
@@ -31,6 +30,7 @@ from repro.groth16 import (
     sim_verify,
     verify,
 )
+from repro.groth16.fft import coset_fft, coset_ifft, fft, ifft
 from repro.r1cs import ConstraintSystem
 
 FR = PrimeField(BN254_R)
@@ -153,12 +153,15 @@ def _fixed_rng():
 
 
 class TestCompiledProver:
-    def test_proofs_byte_identical_across_evaluation_paths(self, keys):
+    def test_evals_identical_across_evaluation_paths(self, keys):
         cs, pk, vk, _ = keys
-        p_legacy = prove(pk, cs, rng=_fixed_rng(), use_compiled=False)
-        p_compiled = prove(pk, cs, rng=_fixed_rng())
-        assert proof_to_bytes(p_legacy) == proof_to_bytes(p_compiled)
-        verify(prepare(vk), p_compiled, cs.public_inputs())
+        _, compiled = get_engine().evaluate_r1cs(cs)
+        assert tuple(compiled) == evaluate_constraints(cs)
+        # the proof is a function of the evals and the sampled r, s alone
+        p1 = prove(pk, cs, rng=_fixed_rng())
+        p2 = prove(pk, cs, rng=_fixed_rng())
+        assert proof_to_bytes(p1) == proof_to_bytes(p2)
+        verify(prepare(vk), p1, cs.public_inputs())
 
     def test_each_constraint_evaluated_exactly_once(self, keys, monkeypatch):
         from repro.r1cs import LinearCombination
@@ -172,10 +175,10 @@ class TestCompiledProver:
             return orig(self, values, modulus)
 
         monkeypatch.setattr(LinearCombination, "evaluate", counting)
-        # legacy path: one walk per LC — 3 per constraint, no double pass
-        prove(pk, cs, use_compiled=False)
+        # reference LC walk: one walk per LC — 3 per constraint, no double pass
+        evaluate_constraints(cs)
         assert calls[0] == 3 * cs.num_constraints
-        # compiled path: the CSR evaluator never touches the LCs at all
+        # the prover's compiled path never touches the LCs at all
         calls[0] = 0
         prove(pk, cs)
         assert calls[0] == 0
@@ -184,13 +187,25 @@ class TestCompiledProver:
         from repro.errors import UnsatisfiedError
 
         _, pk, _, _ = keys
-        with pytest.raises(UnsatisfiedError) as e_check:
-            cubic_system(3, x_val=999).check_satisfied()
-        with pytest.raises(UnsatisfiedError) as e_legacy:
-            prove(pk, cubic_system(3, x_val=999), use_compiled=False)
-        with pytest.raises(UnsatisfiedError) as e_compiled:
-            prove(pk, cubic_system(3, x_val=999))
-        assert str(e_check.value) == str(e_legacy.value) == str(e_compiled.value)
+        errors = []
+        for run in (
+            lambda cs: cs.check_satisfied(),
+            evaluate_constraints,
+            get_engine().evaluate_r1cs,
+            lambda cs: prove(pk, cs),
+        ):
+            with pytest.raises(UnsatisfiedError) as exc:
+                run(cubic_system(3, x_val=999))
+            errors.append(str(exc.value))
+        assert len(set(errors)) == 1
+
+    def test_h_overflow_on_unsatisfying_evals(self):
+        cs = cubic_system(3)
+        # row 0 reads 1 * 1 != 0, so A*B - C does not vanish on the domain
+        evals = ([1, 0, 0], [1, 1, 1], [0, 0, 0])
+        with pytest.raises(ProvingError, match="h overflow"):
+            compute_h_coefficients(cs, evals)
+        assert len(compute_h_coefficients(cs, evaluate_constraints(cs))) == 3
 
 
 class TestMalleability:

@@ -69,6 +69,7 @@ class TestManagedStatement:
         clock = world["clock"]
         # publish a binding for one key, then try to prove for another
         prover.publish_binding(b"key-one", "Repro Encrypt", clock.now())
+        from repro.core.prover import FR
         from repro.core.statement import prepare_managed_witness
         from repro.dns.records import TYPE_TXT
         from repro.r1cs import ConstraintSystem
@@ -79,7 +80,7 @@ class TestManagedStatement:
         witness = prepare_managed_witness(
             TOY, prover.domain, chain, txt, prover.root_zsk_dnskey()
         )
-        cs = ConstraintSystem(prover.field)
+        cs = ConstraintSystem(FR)
         # the digest-equality constraints are recorded but cannot be
         # satisfied when the binding covers a different key
         try:

@@ -236,7 +236,7 @@ class TestGtGoldens:
         pvk = prepare(vk)
         verify_batch(pvk, proofs, publics)
         # the batch equation's two sides, built as verify_batch builds them
-        eng = get_engine(None)
+        eng = get_engine()
         coeffs = batch_coefficients(proofs, publics)
         scale = sum(coeffs) % BN254_R
         ic_scalars = [scale] + [
