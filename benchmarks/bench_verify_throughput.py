@@ -21,17 +21,15 @@ test vector, including tampered proofs — asserted before timing.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_verify_throughput.py [--smoke]
-        [--batch N] [--rounds N] [--no-regress] [--no-record]
+    PYTHONPATH=src python benchmarks/bench_verify_throughput.py
+        [--batch N] [--rounds N] [--seed N] [--trace] [--no-record]
 
-``--no-regress`` holds this run's batched-vs-prepared speedup to >= 0.98x
-the checked-in ``BENCH_verify_throughput.json`` reference (the record's
-conservative per-round floor).
+The record carries the same-run ratio ``batched_vs_prepared`` and its
+floor (``FLOORS``); ``python -m repro.telemetry trajectory`` fails when a
+fresh run falls below the floor recorded in the history head.
 """
 
 import argparse
-import json
-import os
 
 from repro import telemetry
 from repro.ec.curves import BN254_R
@@ -53,29 +51,8 @@ from repro.telemetry.trace import span
 FR = PrimeField(BN254_R)
 R = BN254_R
 
-#: --no-regress floor: this run's batched-vs-prepared speedup may not fall
-#: below this fraction of the checked-in BENCH_verify_throughput.json record
-NO_REGRESS_FLOOR = 0.98
-
-
-def recorded_speedup(directory=None):
-    """The gate reference from the checked-in bench record, or None when
-    no record exists yet (first run bootstraps the gate).
-
-    Prefers the conservative per-round floor; records written before the
-    floor existed fall back to the headline best-of ratio.
-    """
-    path = os.path.join(directory or os.getcwd(),
-                        "BENCH_verify_throughput.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    results = record.get("results", {})
-    value = results.get("batched_vs_prepared_floor",
-                        results.get("batched_vs_prepared"))
-    return value if isinstance(value, (int, float)) else None
+#: same-run ratio floors, certified in the record and judged by trajectory
+FLOORS = {"batched_vs_prepared": 2.0}
 
 
 def cubic_system(w_val):
@@ -136,26 +113,21 @@ def check_verdicts_identical(vk, pvk, proofs, publics):
 
 
 def time_paths_interleaved(fns, batch_size, rounds):
-    """Per-proof times for each path, round-robin: (best-of list, rows).
+    """Best-of per-proof times for each path, timed round-robin.
 
     Timing every path once per round (instead of all rounds of one path,
     then all rounds of the next) keeps the measurements of the paths
     inside the same time window, so slow drift of the host's load hits
-    them all alike — the *ratios* between paths, which the --no-regress
-    gate consumes, come out far more stable than with sequential timing.
-    The raw per-round rows are returned too, so the caller can derive a
-    conservative per-round ratio floor.
+    them all alike — the *ratios* between paths, which the trajectory
+    gate judges, come out far more stable than with sequential timing.
     """
-    rows = []
+    best = [float("inf")] * len(fns)
     for _ in range(rounds):
-        row = []
-        for fn in fns:
+        for i, fn in enumerate(fns):
             t0 = perf()
             fn()
-            row.append((perf() - t0) / batch_size)
-        rows.append(row)
-    best = [min(row[i] for row in rows) for i in range(len(fns))]
-    return best, rows
+            best[i] = min(best[i], (perf() - t0) / batch_size)
+    return best
 
 
 def bench_cached_lookup(rounds=10000):
@@ -196,7 +168,7 @@ def run(batch_size, rounds, seed=None):
         assert batch_is_valid(pvk, proofs, publics)
 
     with span("bench.verify.paths", batch=batch_size, rounds=rounds):
-        bests, rows = time_paths_interleaved(
+        bests = time_paths_interleaved(
             [naive, prepared, batched], batch_size, rounds,
         )
     naive_s, prepared_pp, batched_pp = bests
@@ -211,87 +183,51 @@ def run(batch_size, rounds, seed=None):
         print("%-24s %12.6f %12.1f %9.1fx"
               % (name, per_proof, 1.0 / per_proof, naive_s / per_proof))
     batched_vs_per_proof = prepared_pp / batched_pp
-    # the gate reference: the WORST per-round ratio this run observed.
-    # Best-of composites flatter the headline; recording the floor
-    # gives --no-regress a reference a future (noisier) run can
-    # actually be held to without flaking on scheduler jitter.
-    ratio_floor = min(row[1] / row[2] for row in rows)
-    print("\nbatched vs per-proof verify() at N=%d: %.2fx "
-          "(per-round floor %.2fx)"
-          % (batch_size, batched_vs_per_proof, ratio_floor))
-    return batched_vs_per_proof, {
+    print("\nbatched vs per-proof verify() at N=%d: %.2fx (floor %.2fx)"
+          % (batch_size, batched_vs_per_proof, FLOORS["batched_vs_prepared"]))
+    return {
         "batch": batch_size,
         "per_proof_s": {name: s for name, s in results},
         "batched_vs_prepared": batched_vs_per_proof,
-        "batched_vs_prepared_floor": ratio_floor,
+        "floors": FLOORS,
     }
 
 
 def replay(config):
     """Deterministic re-execution core for run certificates (certs from
     seeded runs replay strictly; unseeded ones only structurally)."""
-    _, results = run(
+    return run(
         config.get("batch", 16),
         config.get("rounds", 3),
         seed=config.get("seed"),
     )
-    return results
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Verifier throughput: naive/prepared/batched/cached"
     )
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (fewer rounds, still batch 16)")
     parser.add_argument("--batch", type=int, default=16)
-    parser.add_argument("--rounds", type=int, default=None)
+    parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seed", type=int, default=None,
                         help="pin CRS/proof randomness (strict replay)")
     parser.add_argument("--trace", action="store_true",
                         help="enable span tracing and print the span tree")
     parser.add_argument("--no-record", action="store_true",
                         help="skip writing BENCH_verify_throughput.json")
-    parser.add_argument(
-        "--no-regress", action="store_true",
-        help="fail (exit 1) unless this run's batched-vs-prepared speedup "
-             "stays >= %.2f x the checked-in record" % NO_REGRESS_FLOOR,
-    )
     args = parser.parse_args(argv)
 
-    # --smoke shrinks nothing here: proof *generation* dominates the bench,
-    # the timed section is seconds, and the --no-regress gate needs the
-    # same best-of-3 methodology the checked-in record was measured with
-    rounds = args.rounds or 3
     if args.trace:
         telemetry.enable()
-    # the reference value must be read before write_bench_record replaces it
-    reference = recorded_speedup()
-    speedup, results = run(args.batch, rounds, seed=args.seed)
+    results = run(args.batch, args.rounds, seed=args.seed)
     if args.trace:
         print()
         print(telemetry.render_trace())
     if not args.no_record:
-        config = {"batch": args.batch, "rounds": rounds, "smoke": args.smoke,
+        config = {"batch": args.batch, "rounds": args.rounds,
                   "trace": args.trace, "seed": args.seed}
         print("wrote %s"
               % write_bench_record("verify_throughput", config, results))
-    if args.no_regress:
-        if reference is None:
-            print("no checked-in record to gate against; skipping --no-regress")
-        else:
-            floor = NO_REGRESS_FLOOR * reference
-            if speedup < floor:
-                print("REGRESSION: batched_vs_prepared %.3f < %.3f "
-                      "(%.2f x recorded %.3f)"
-                      % (speedup, floor, NO_REGRESS_FLOOR, reference))
-                raise SystemExit(1)
-            print("no-regress gate: %.3f >= %.3f (%.2f x recorded %.3f)"
-                  % (speedup, floor, NO_REGRESS_FLOOR, reference))
-    if args.batch >= 16 and speedup < 2.0:
-        raise SystemExit(
-            "batched verification below the 2x target: %.2fx" % speedup
-        )
     print("ok")
 
 

@@ -27,8 +27,6 @@ _jacobian_groups = {}
 
 #: compute metrics (always on; see repro.telemetry.metrics) — observed once
 #: per kernel call, never inside an inner loop
-_MSM_POINTS = _metrics.histogram("msm.points")
-_MSM_CALLS = _metrics.counter("msm.calls")
 _EVAL_ROWS_FULL = _metrics.counter("r1cs.rows.full")
 _R1CS_CONSTRAINTS = _metrics.gauge("r1cs.constraints")
 
@@ -53,8 +51,6 @@ class Engine:
     # -- MSM -------------------------------------------------------------------
 
     def _msm(self, group, bases, scalars):
-        _MSM_CALLS.inc()
-        _MSM_POINTS.observe(len(bases))
         with _span("engine.msm", points=len(bases)):
             return msm_generic(group, bases, scalars)
 

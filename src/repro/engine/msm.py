@@ -28,6 +28,10 @@ import math
 
 from ..telemetry import metrics as _metrics
 
+#: one call and one points observation per kernel entry, so a direct
+#: caller (the MSM kernel bench) is counted like an engine call
+_MSM_CALLS = _metrics.counter("msm.calls")
+_MSM_POINTS = _metrics.histogram("msm.points")
 _WINDOW_TASKS = _metrics.counter("msm.window_tasks")
 #: window width chosen per MSM call — the tuning histogram for _window_bits
 _WINDOW_BITS = _metrics.histogram("msm.window_bits", bounds=tuple(range(1, 17)))
@@ -137,6 +141,8 @@ def msm_generic(group, bases, scalars):
     """
     if len(bases) != len(scalars):
         raise ValueError("msm: points and scalars differ in length")
+    _MSM_CALLS.inc()
+    _MSM_POINTS.observe(len(bases))
     order = group.order
     pairs = []
     for base, k in zip(bases, scalars):

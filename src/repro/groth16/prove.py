@@ -57,13 +57,13 @@ def evaluate_constraints(system):
     return a_evals, b_evals, c_evals
 
 
-def compute_h_coefficients(structure, evals):
+def compute_h_coefficients(evals):
     """Coefficients of h(X) = (A(X)B(X) - C(X)) / Z(X) on the QAP domain.
 
     ``evals`` is the ``(a_evals, b_evals, c_evals)`` triple (length ``m``
-    each) from the single evaluation pass.
+    each, one entry per constraint) from the single evaluation pass.
     """
-    m = structure.constraint_count
+    m = len(evals[0])
     d = _next_pow2(max(m, 2))
     eng = get_engine()
     with _span("groth16.h_coefficients", constraints=m, domain=d):
@@ -111,7 +111,7 @@ def prove(pk, system, rng=None):
         rand = rng or (lambda: secrets.randbelow(R))
         r = rand()
         s = rand()
-        h_coeffs = compute_h_coefficients(system, evals)
+        h_coeffs = compute_h_coefficients(evals)
 
         with _span("prove.msm.a"):
             a_bases, a_sc = prep.a.gather(z)

@@ -18,8 +18,8 @@ Subcommands:
   the recorded config/seeds, and assert the
   deterministic portions (metric counts, trace structure) match.
 * ``trajectory`` — diff current ``BENCH_*.json`` records against each
-  checked-in history head; fail on metric-count regressions and on timing
-  regressions beyond ``--tolerance``.
+  checked-in history head; fail on an invalid record, metric-count
+  regressions, config drift, and same-run ratios below the head's floors.
 * ``history`` — chain-verify every checked-in history file.
 """
 
@@ -203,9 +203,6 @@ def trajectory_cmd(args):
     regressions = ct.run_trajectory(
         history_dir=args.history_dir,
         records_dir=args.records_dir,
-        tolerance=args.tolerance,
-        count_tolerance=args.count_tolerance,
-        fail_on=args.fail_on,
     )
     if regressions:
         print("TRAJECTORY: %d regression(s)" % regressions)
@@ -276,12 +273,6 @@ def main(argv=None):
                             help="gate current records against history heads")
     traj_p.add_argument("--history-dir", default=None)
     traj_p.add_argument("--records-dir", default=None)
-    traj_p.add_argument("--tolerance", type=float, default=1.5,
-                        help="allowed timing growth (1.5 = 2.5x the head)")
-    traj_p.add_argument("--count-tolerance", type=float, default=0.0,
-                        help="allowed metric-count growth (0 = exact)")
-    traj_p.add_argument("--fail-on", choices=("regress", "never"),
-                        default="regress")
     hist_p = sub.add_parser("history", help="chain-verify history files")
     hist_p.add_argument("--history-dir", default=None)
     args = parser.parse_args(argv)

@@ -8,8 +8,9 @@ results, a metrics snapshot, and (when tracing is enabled) the full span
 tree.
 
 Records are versioned (:data:`SCHEMA_VERSION`) and validated by
-``python -m repro.telemetry check BENCH_*.json`` in CI, so a bench that
-silently stops recording fails the build rather than the next reader.
+``python -m repro.telemetry check BENCH_*.json`` and by every
+``trajectory`` run, so a bench that silently stops recording fails the
+build rather than the next reader.
 """
 
 import json

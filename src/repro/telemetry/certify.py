@@ -10,8 +10,8 @@ to re-verify the run's claims:
 * the SHA-256 of the canonical record (``record_digest``);
 * the SHA-256 of the run's ``metrics_signature`` (count-valued metrics)
   and ``trace_signature`` (span names/nesting/attributes — never timings);
-* the headline results, the extracted count metrics, and the extracted
-  wall-time results.
+* the headline results (including each same-run ratio's floor) and the
+  extracted count metrics.
 
 Certificates chain: each carries ``prev``, the digest of its predecessor
 in ``benchmarks/history/<bench>.jsonl`` (or :data:`GENESIS` for the first
@@ -31,11 +31,15 @@ Two verifiers consume certificates:
 * :func:`run_trajectory` diffs the current ``BENCH_*.json`` records
   against each history head and fails on metric-count regressions
   (``msm.calls``, ``msm.bucket_adds``, the ``fft.size`` distribution,
-  ``r1cs.constraints``, cache hit ratios) and on timing regressions beyond a configurable tolerance band.
+  ``r1cs.constraints``, cache hit ratios), on config drift, and on any
+  same-run ratio the head names in ``results["floors"]`` that is missing
+  from the current record or below its floor.
 
-Wall-times are deliberately *excluded* from the replay guarantee — they
-are hardware facts, bounded only by the trajectory tolerance band — while
-counts are *included*: a count drift is a code-path change, not noise.
+Wall-times are deliberately *excluded* from both guarantees — they are
+hardware facts — while counts are *included*: a count drift is a
+code-path change, not noise.  Speed is judged only through same-run
+ratios (two paths timed in the same run), which hold up under
+host noise where absolute times do not.
 """
 
 import hashlib
@@ -44,7 +48,7 @@ import json
 import os
 import sys
 
-from .bench import build_record
+from .bench import build_record, validate_record
 from .export import metrics_signature, render_span_tree
 
 CERT_SCHEMA_VERSION = 1
@@ -151,37 +155,6 @@ def extract_counts(metrics_snapshot):
     return counts
 
 
-def extract_timings(results, prefix="", inherited=False):
-    """Flatten the wall-time leaves out of a results tree.
-
-    A numeric leaf is a timing when its key — or any ancestor key — ends
-    with ``_s`` (the repo-wide seconds suffix), so nested tables like
-    ``per_proof_s: {path: seconds}`` flatten to ``per_proof_s.<path>``.
-    """
-    timings = {}
-    if not isinstance(results, dict):
-        return timings
-    for key, value in results.items():
-        key_s = str(key)
-        is_timing = inherited or key_s.endswith("_s")
-        path = "%s.%s" % (prefix, key_s) if prefix else key_s
-        if isinstance(value, dict):
-            timings.update(extract_timings(value, path, is_timing))
-        elif isinstance(value, list):
-            for i, item in enumerate(value):
-                if isinstance(item, dict):
-                    timings.update(
-                        extract_timings(item, "%s[%d]" % (path, i), is_timing)
-                    )
-        elif (
-            is_timing
-            and isinstance(value, (int, float))
-            and not isinstance(value, bool)
-        ):
-            timings[path] = float(value)
-    return timings
-
-
 def environment_fingerprint():
     """What the run's numbers depend on besides the code and config: the
     python version."""
@@ -231,7 +204,6 @@ def build_certificate(record, prev=GENESIS, gate=None, replay=None):
         "metrics_signature": sha256_hex(metrics_signature_text(record)),
         "trace_signature": sha256_hex(trace_text) if trace_text else "",
         "counts": extract_counts(record.get("metrics", {})),
-        "timings": extract_timings(record.get("results", {})),
         "replay": replay or replay_meta_for(name, config),
         "gate": bool(gate if gate is not None else name not in UNGATED_BENCHES),
         "prev": prev,
@@ -561,13 +533,14 @@ def _hit_ratio(counts, base):
     return (hit / total) if total else None
 
 
-def compare_to_head(head, record, tolerance=1.5, count_tolerance=0.0):
+def compare_to_head(head, record):
     """Diff one current bench record against its history head.
 
     Returns ``[(severity, message)]`` with severity ``"regress"`` or
-    ``"note"``.  Counts compare exactly by default (they are
-    deterministic under the recorded seeds); timings compare within a
-    band: current <= head * (1 + tolerance).
+    ``"note"``.  Counts compare exactly (they are deterministic under the
+    recorded seeds).  Every ratio named in the head's
+    ``results["floors"]`` must appear in the current ``results`` at or
+    above its floor.
     """
     findings = []
     then_cfg = _comparable_config(head.get("config", {}))
@@ -617,7 +590,7 @@ def compare_to_head(head, record, tolerance=1.5, count_tolerance=0.0):
         elif name.endswith(".hit"):
             continue  # judged through the hit ratio below, not monotonely
         elif isinstance(then, (int, float)) and isinstance(now, (int, float)):
-            if now > then * (1.0 + count_tolerance):
+            if now > then:
                 findings.append((
                     "regress",
                     "%s regressed: %s -> %s (more work per run)"
@@ -644,29 +617,32 @@ def compare_to_head(head, record, tolerance=1.5, count_tolerance=0.0):
                 "%s hit ratio fell: %.4f -> %.4f" % (base, then_ratio, now_ratio),
             ))
 
-    now_timings = extract_timings(record.get("results", {}))
-    for path in sorted(head.get("timings", {})):
-        then_t = head["timings"][path]
-        now_t = now_timings.get(path)
-        if now_t is None:
-            findings.append(("note", "timing %s missing from results" % path))
-            continue
-        if then_t > 0 and now_t > then_t * (1.0 + tolerance):
+    bench = head.get("bench", "?")
+    now_results = record.get("results", {})
+    for name, floor in sorted(head.get("results", {}).get("floors", {}).items()):
+        value = now_results.get(name)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
             findings.append((
                 "regress",
-                "timing %s regressed: %.6fs -> %.6fs (> %.2fx band)"
-                % (path, then_t, now_t, 1.0 + tolerance),
+                "%s ratio %s missing from the current results (floor %.4f)"
+                % (bench, name, floor),
+            ))
+        elif value < floor:
+            findings.append((
+                "regress",
+                "%s ratio %s below its floor: %.4f < %.4f"
+                % (bench, name, value, floor),
             ))
     return findings
 
 
-def run_trajectory(history_dir=None, records_dir=None, tolerance=1.5,
-                   count_tolerance=0.0, fail_on="regress", out=print):
+def run_trajectory(history_dir=None, records_dir=None, out=print):
     """Gate every checked-in history against the current bench records.
 
     Returns the number of regressions found (0 = trajectory holds).  A
-    tampered chain is always a regression; a missing current record is a
-    note (the bench simply was not run).
+    tampered chain and a current record that fails
+    :func:`~repro.telemetry.bench.validate_record` are regressions; a
+    missing current record is a note (the bench simply was not run).
     """
     directory = history_dir or default_history_dir()
     records_dir = records_dir or os.getcwd()
@@ -702,9 +678,14 @@ def run_trajectory(history_dir=None, records_dir=None, tolerance=1.5,
             continue
         with open(record_path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
-        findings = compare_to_head(
-            head, record, tolerance=tolerance, count_tolerance=count_tolerance
-        )
+        invalid = validate_record(record)
+        if invalid:
+            regressions += 1
+            out("%s: INVALID current record %s" % (name, record_path))
+            for problem in invalid:
+                out("  - %s" % problem)
+            continue
+        findings = compare_to_head(head, record)
         bad = [msg for sev, msg in findings if sev == "regress"]
         notes = [msg for sev, msg in findings if sev == "note"]
         if bad:
@@ -718,6 +699,4 @@ def run_trajectory(history_dir=None, records_dir=None, tolerance=1.5,
                 % (name, head.get("digest", "")[:16], len(entries)))
         for msg in notes:
             out("  note: %s" % msg)
-    if fail_on == "never":
-        return 0
     return regressions

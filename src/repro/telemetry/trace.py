@@ -9,8 +9,9 @@ its child, so one enabled proof run yields the full
 Tracing is OFF by default and the disabled path is a near-no-op: ``span()``
 checks one flag and returns a shared inert singleton, so instrumented hot
 paths cost a function call and a ``with`` block (< 1 us) per span site.
-The CI overhead gate holds the enabled-vs-disabled delta on the smoke
-prover below 5%.
+The prover-pipeline bench certifies the untraced/traced prove-time ratio
+with a floor of 1/1.05, so ``trajectory`` fails when tracing costs more
+than 5%.
 
 Time flows through :mod:`repro.telemetry.clocks`, so installing a
 ``repro.clock.FakeClock`` makes every span duration deterministic.

@@ -10,8 +10,9 @@ Covers the certificate subsystem's contracts:
 - deterministic replay: a strict certificate re-executes bit-identically
   under ``FakeClock`` (the acceptance path for ``telemetry replay``);
 - the trajectory gate: metric-count regressions (``msm.calls`` drift),
-  timing-band violations, hit-ratio drops, and config drift all fail;
-  improvements and demo (``gate: false``) records do not.
+  hit-ratio drops, config drift, invalid records, and same-run ratios
+  missing or below the head's floors all fail; improvements and demo
+  (``gate: false``) records do not.
 """
 
 import json
@@ -98,21 +99,6 @@ class TestExtraction:
         counts = ct.extract_counts(snapshot)
         assert counts["msm.calls"] == 4
         assert counts["fft.size"] == {"count": 2, "sum": 48, "buckets": [1, 1]}
-
-    def test_extract_timings_flattens_seconds_leaves(self):
-        results = {
-            "speedup": 2.0,
-            "serial_s": 1.5,
-            "per_proof_s": {"naive": 0.4, "batched": 0.1},
-            "per_size": [{"n": 96, "after_s": 0.25}],
-        }
-        timings = ct.extract_timings(results)
-        assert timings == {
-            "serial_s": 1.5,
-            "per_proof_s.naive": 0.4,
-            "per_proof_s.batched": 0.1,
-            "per_size[0].after_s": 0.25,
-        }
 
     def test_replay_meta_strictness(self):
         assert ct.replay_meta_for("msm_kernel", {})["strict"]
@@ -310,23 +296,6 @@ class TestTrajectoryGate:
         ) >= 1
         assert any("hit ratio fell" in l for l in lines)
 
-    def test_timing_band_violation_fails(self, tmp_path):
-        hist, records = str(tmp_path / "h"), str(tmp_path)
-        self._seed_history(hist, {"msm.calls": 1}, results={"after_s": 1.0})
-        self._write_current(records, {"msm.calls": 1},
-                            results={"after_s": 4.0})
-        lines = []
-        assert ct.run_trajectory(
-            history_dir=hist, records_dir=records, tolerance=1.5,
-            out=lines.append,
-        ) == 1
-        assert any("timing after_s regressed" in l for l in lines)
-        # a generous band passes the same pair
-        assert ct.run_trajectory(
-            history_dir=hist, records_dir=records, tolerance=4.0,
-            out=lambda s: None,
-        ) == 0
-
     def test_config_drift_fails_with_instructive_message(self, tmp_path):
         hist, records = str(tmp_path / "h"), str(tmp_path)
         self._seed_history(hist, {"msm.calls": 1}, config={"smoke": True})
@@ -387,14 +356,51 @@ class TestTrajectoryGate:
         ) == 1
         assert any("disappeared" in l for l in lines)
 
-    def test_fail_on_never_reports_zero(self, tmp_path):
+    def _ratio_run(self, tmp_path, current_results):
+        hist, records = str(tmp_path / "h"), str(tmp_path)
+        self._seed_history(
+            hist, {"msm.calls": 1},
+            results={"min_speedup": 1.8, "floors": {"min_speedup": 1.3}},
+        )
+        self._write_current(records, {"msm.calls": 1},
+                            results=current_results)
+        lines = []
+        regressions = ct.run_trajectory(
+            history_dir=hist, records_dir=records, out=lines.append
+        )
+        return regressions, lines
+
+    def test_ratio_below_head_floor_fails(self, tmp_path):
+        # the floor is the head's: a current record cannot lower its own
+        regressions, lines = self._ratio_run(
+            tmp_path, {"min_speedup": 1.2, "floors": {"min_speedup": 1.0}}
+        )
+        assert regressions == 1
+        assert any(
+            "msm_kernel ratio min_speedup below its floor" in l for l in lines
+        )
+
+    def test_missing_ratio_fails(self, tmp_path):
+        regressions, lines = self._ratio_run(tmp_path, {"other": 3.0})
+        assert regressions == 1
+        assert any(
+            "msm_kernel ratio min_speedup missing" in l for l in lines
+        )
+
+    def test_ratio_exactly_at_floor_passes(self, tmp_path):
+        regressions, _ = self._ratio_run(tmp_path, {"min_speedup": 1.3})
+        assert regressions == 0
+
+    def test_invalid_current_record_fails(self, tmp_path):
         hist, records = str(tmp_path / "h"), str(tmp_path)
         self._seed_history(hist, {"msm.calls": 10})
-        self._write_current(records, {"msm.calls": 99})
+        self._write_current(records, {"msm.calls": -1})
+        lines = []
         assert ct.run_trajectory(
-            history_dir=hist, records_dir=records, fail_on="never",
-            out=lambda s: None,
-        ) == 0
+            history_dir=hist, records_dir=records, out=lines.append
+        ) == 1
+        assert any("INVALID current record" in l for l in lines)
+        assert any("negative counter" in l for l in lines)
 
 
 class TestRecordPlumbing:

@@ -66,6 +66,18 @@ class TestGenericMsmG1:
         with pytest.raises(ValueError):
             msm_generic(JacobianGroup(P256), [(1, 2)], [1, 2])
 
+    def test_direct_call_counts_calls_and_points(self):
+        from repro.telemetry import metrics
+
+        g = P256.generator
+        before = metrics.snapshot()
+        msm_generic(JacobianGroup(P256), [(g.x, g.y), ((2 * g).x, (2 * g).y)],
+                    [3, 5])
+        after = metrics.snapshot()
+        assert after["msm.calls"] == before["msm.calls"] + 1
+        assert after["msm.points"]["count"] == before["msm.points"]["count"] + 1
+        assert after["msm.points"]["sum"] == before["msm.points"]["sum"] + 2
+
 
 class TestGenericMsmG2:
     def test_matches_naive_randomized(self):
